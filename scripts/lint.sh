@@ -33,6 +33,13 @@
 #      (sync::Mutex & co.), or clang's -Wthread-safety gate silently stops
 #      covering it: a raw std::mutex carries no capability, so the analysis
 #      has nothing to check and misses every bug behind it.
+#  10. No listener binding or accepting (listen_unix/listen_tcp/
+#      accept_pending) outside src/serve/frontend.cpp (and src/serve/wire.cpp,
+#      which defines them) — bmf_served and bmf_router share one client
+#      front end, and a second copy of the client plane is how their
+#      admission, deadline and drain behaviour drifted apart before.
+#      Outbound sockets (the router's connect_endpoint to its backends)
+#      are not covered.
 #
 # Usage: lint.sh   (run from anywhere; exits non-zero on any violation)
 set -eu
@@ -153,6 +160,19 @@ for f in $all_sources; do
     'std::(mutex|shared_mutex|recursive_mutex|timed_mutex|condition_variable|condition_variable_any|lock_guard|unique_lock|shared_lock|scoped_lock)([^A-Za-z0-9_]|$)' \
     || true)
   [ -n "$hits" ] && fail "raw std:: synchronization outside src/sync in $f" "$hits"
+done
+
+# Rule 10: one client plane.  Only the shared front end binds listeners and
+# accepts client connections; daemons plug into it.
+for f in $all_sources; do
+  case "$f" in
+    "$src_dir/src/serve/frontend.cpp"|"$src_dir/src/serve/wire.cpp"|\
+    "$src_dir/src/serve/wire.hpp") continue ;;
+  esac
+  hits=$(strip_comments "$f" | grep -nE \
+    '(^|[^A-Za-z0-9_])(accept_pending|listen_unix|listen_tcp)[[:space:]]*\(' \
+    || true)
+  [ -n "$hits" ] && fail "client listener/accept outside src/serve/frontend.cpp in $f" "$hits"
 done
 
 if [ "$status" -ne 0 ]; then

@@ -22,7 +22,6 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 
 #include "fault/fault.hpp"
 #include "io/args.hpp"
@@ -88,22 +87,8 @@ int main(int argc, char** argv) {
     g_router = &router;
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
-    if (!options.socket_path.empty() && !quiet)
-      std::fprintf(stderr, "bmf_router: listening on unix:%s\n",
-                   options.socket_path.c_str());
-    if (!options.tcp_address.empty()) {
-      const std::string resolved = to_string(router.tcp_endpoint());
-      if (!quiet)
-        std::fprintf(stderr, "bmf_router: listening on %s\n",
-                     resolved.c_str());
-      if (!announce_path.empty()) {
-        std::ofstream announce(announce_path, std::ios::trunc);
-        announce << resolved << "\n";
-        if (!announce)
-          throw std::runtime_error("cannot write --tcp-announce file " +
-                                   announce_path);
-      }
-    }
+    bmf::serve::announce_listeners("bmf_router", options.socket_path, router.tcp_endpoint(),
+                                   announce_path, quiet);
     if (!quiet)
       std::fprintf(stderr,
                    "bmf_router: %zu backend(s), %zu replica(s) per model\n",

@@ -1,11 +1,6 @@
 #include "router/router.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <array>
-#include <cerrno>
 #include <chrono>
 #include <deque>
 #include <map>
@@ -13,7 +8,6 @@
 #include <optional>
 #include <utility>
 
-#include "fault/fault.hpp"
 #include "serve/connection.hpp"
 #include "serve/protocol.hpp"
 #include "stats/rng.hpp"
@@ -24,9 +18,9 @@ namespace {
 
 using serve::Endpoint;
 using serve::FrameBuffer;
+using serve::Frontend;
 using serve::MessageType;
 using serve::ModelInfo;
-using serve::OrderedReplies;
 using serve::RouteInfo;
 using serve::ServeError;
 using serve::StatsResponse;
@@ -34,26 +28,9 @@ using serve::Status;
 using serve::StoreInfoResponse;
 using serve::UniqueFd;
 
-/// Epoll timeout cap: the latency bound on noticing request_stop(), and
-/// the cadence of the reconnect/probe/head-of-line bookkeeping tick.
-constexpr int kLoopTickMs = 100;
-
-/// Deadline for the best-effort error reply on a shed connection.
-constexpr int kShedReplyTimeoutMs = 100;
-
-/// Deadline wheel granularity/size for client idle deadlines (matches
-/// server.cpp: 256 slots of 25 ms cover the default timeout).
-constexpr int kWheelTickMs = 25;
-constexpr std::size_t kWheelSlots = 256;
-
-constexpr std::size_t kReadChunkBytes = std::size_t{64} * 1024;
-
-/// epoll tags: fixed ids for listeners, a dense range for backends, and
-/// client connections counting up from kClientTagBase (never reused).
-constexpr std::uint64_t kTagUnixListener = 1;
-constexpr std::uint64_t kTagTcpListener = 2;
+/// epoll tags of the backend connections: a dense range in the
+/// Frontend's owner range.
 constexpr std::uint64_t kBackendTagBase = 16;
-constexpr std::uint64_t kClientTagBase = std::uint64_t{1} << 20;
 
 using Clock = std::chrono::steady_clock;
 
@@ -63,27 +40,20 @@ ServeError upstream_error(const std::string& what) {
 
 }  // namespace
 
-/// run()'s state. Single-threaded: the router never computes, so there is
-/// no worker pool, no locks, and no wakeup fd — every structure here is
-/// owned by the loop thread.
-class RouterLoop {
+/// run()'s state: the backend side behind the client front end.
+/// Single-threaded: the router never computes, so there is no worker pool,
+/// no locks, and no wakeup fd — every structure here is owned by the loop
+/// thread.
+class RouterLoop final : public Frontend::Handler {
  public:
   explicit RouterLoop(Router& router)
       : router_(router),
         opt_(router.options_),
+        frontend_(*router.frontend_),
         replicas_(std::min(std::max<std::size_t>(opt_.replicas, 1),
                            router.ring_.num_backends())),
         quorum_(replicas_ / 2 + 1),
-        jitter_rng_(opt_.jitter_seed),
-        wheel_(Clock::now(), kWheelTickMs, kWheelSlots) {
-    if (router_.unix_listen_.valid()) {
-      serve::set_nonblocking(router_.unix_listen_.get());
-      poller_.add(router_.unix_listen_.get(), EPOLLIN, kTagUnixListener);
-    }
-    if (router_.tcp_listen_.valid()) {
-      serve::set_nonblocking(router_.tcp_listen_.get());
-      poller_.add(router_.tcp_listen_.get(), EPOLLIN, kTagTcpListener);
-    }
+        jitter_rng_(opt_.jitter_seed) {
     const Clock::time_point now = Clock::now();
     backends_.reserve(router_.backend_endpoints_.size());
     for (std::size_t i = 0; i < router_.backend_endpoints_.size(); ++i) {
@@ -98,6 +68,14 @@ class RouterLoop {
   }
 
   void run();
+
+  void on_event(std::uint64_t tag, std::uint32_t events) override {
+    handle_backend_event(static_cast<std::size_t>(tag - kBackendTagBase),
+                         events);
+  }
+  void on_tick() override;
+  /// The drain waits on clients only: backends are independent daemons.
+  bool idle() override { return true; }
 
  private:
   struct FanOut;
@@ -169,53 +147,14 @@ class RouterLoop {
     bool write_pending() const { return wire_off < wire.size(); }
   };
 
-  struct Conn {
-    Conn(UniqueFd f, bool is_tcp, std::size_t max_frame)
-        : fd(std::move(f)), tcp(is_tcp), frames(max_frame) {}
-
-    UniqueFd fd;
-    bool tcp;
-    FrameBuffer frames;
-    OrderedReplies replies;
-    std::optional<std::vector<std::uint8_t>> tear_error;
-    bool read_open = true;
-    bool close_after_flush = false;
-    std::uint32_t events = EPOLLIN;
-    std::vector<std::uint8_t> wire;
-    std::size_t wire_off = 0;
-
-    bool write_pending() const { return wire_off < wire.size(); }
-    bool work_left() const {
-      return replies.outstanding() > 0 || frames.complete_frames() > 0 ||
-             tear_error.has_value();
-    }
-  };
-  using ConnMap = std::map<std::uint64_t, Conn>;
-
-  // -- client side (mirrors server.cpp's loop) --
-  void accept_burst(int listen_fd, bool tcp);
-  void admit(UniqueFd fd, bool tcp);
-  void make_active(UniqueFd fd, bool tcp);
-  void promote_parked();
-  bool drain_reads(Conn& c);
-  bool try_flush(Conn& c);
-  void settle(ConnMap::iterator it);
-  void update_interest(std::uint64_t tag, Conn& c);
-  ConnMap::iterator close_conn(ConnMap::iterator it);
-  void touch(std::uint64_t tag);
-  void tear(Conn& c, const ServeError& e);
-  void check_client_deadlines();
-  void start_drain();
-
   // -- routing --
-  void route_frames(ConnMap::iterator it);
+  void route_frames(std::uint64_t tag);
   /// Returns true when the frame tore the stream (remaining buffered
   /// bytes were discarded — the caller must not pop).
-  bool route_one(std::uint64_t tag, Conn& c, const std::uint8_t* frame,
-                 std::size_t size);
+  bool route_one(std::uint64_t tag, Frontend::Conn& c,
+                 const std::uint8_t* frame, std::size_t size);
   void complete_client(std::uint64_t tag, std::uint64_t seq,
                        std::vector<std::uint8_t> reply);
-  void settle_dirty();
   void start_proxy(std::uint64_t tag, std::uint64_t seq, RouteInfo info,
                    const std::uint8_t* frame, std::size_t size);
   void start_fan(std::uint64_t tag, std::uint64_t seq, const RouteInfo& info,
@@ -225,7 +164,6 @@ class RouterLoop {
   // -- backend side --
   std::vector<std::size_t> up_owners(const std::string& name) const;
   void send_to_backend(std::size_t index, Pending pending);
-  bool flush_backend(std::size_t index);
   void update_backend_interest(std::size_t index);
   void handle_backend_event(std::size_t index, std::uint32_t ev);
   bool drain_backend_reads(Backend& b);
@@ -244,351 +182,52 @@ class RouterLoop {
 
   Router& router_;
   const RouterOptions& opt_;
+  Frontend& frontend_;
   std::size_t replicas_;
   std::size_t quorum_;
   stats::Rng jitter_rng_;
-  serve::Poller poller_;
-  serve::DeadlineWheel wheel_;
   std::vector<Backend> backends_;
-  ConnMap conns_;
-  std::deque<std::pair<UniqueFd, bool>> parked_;
-  std::uint64_t next_tag_ = kClientTagBase;
   std::size_t solve_rr_ = 0;  // round-robin cursor for solve routing
-  bool draining_ = false;
-  /// Connections with replies completed outside their own event handling
-  /// (backend completions, failovers). Settled once per loop round — a
-  /// settle mid-routing could close the connection under an iterator the
-  /// routing path still holds.
-  std::vector<std::uint64_t> dirty_;
-  std::vector<std::uint64_t> expired_scratch_;
 };
 
 void RouterLoop::run() {
-  std::array<struct epoll_event, 64> events{};
   // Connect to the backends before accepting any client frame: listeners
   // were bound in the Router constructor, so a client racing in at
   // startup must not observe a router with zero up backends.
   check_backends(Clock::now());
-  for (;;) {
-    if (router_.stop_requested() && !draining_) start_drain();
-    if (draining_ && conns_.empty()) break;
-
-    const int timeout = wheel_.next_timeout_ms(kLoopTickMs);
-    const int n =
-        poller_.wait(events.data(), static_cast<int>(events.size()), timeout);
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[static_cast<std::size_t>(i)].data.u64;
-      const std::uint32_t ev = events[static_cast<std::size_t>(i)].events;
-      if (tag == kTagUnixListener) {
-        accept_burst(router_.unix_listen_.get(), /*tcp=*/false);
-      } else if (tag == kTagTcpListener) {
-        accept_burst(router_.tcp_listen_.get(), /*tcp=*/true);
-      } else if (tag >= kBackendTagBase && tag < kClientTagBase) {
-        handle_backend_event(static_cast<std::size_t>(tag - kBackendTagBase),
-                             ev);
-      } else {
-        auto it = conns_.find(tag);
-        if (it == conns_.end()) continue;  // closed earlier in this batch
-        Conn& c = it->second;
-        if ((ev & (EPOLLHUP | EPOLLERR)) != 0 && (ev & EPOLLIN) == 0) {
-          close_conn(it);
-          continue;
-        }
-        if ((ev & EPOLLOUT) != 0 && !try_flush(c)) {
-          close_conn(it);
-          continue;
-        }
-        if ((ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && c.read_open) {
-          if (!drain_reads(c)) {
-            close_conn(it);
-            continue;
-          }
-          touch(tag);
-        }
-        route_frames(it);
-      }
-    }
-    check_backends(Clock::now());
-    settle_dirty();
-    check_client_deadlines();
-  }
+  frontend_.run(*this, router_.stop_);
 }
 
-// ---- client side -----------------------------------------------------------
-
-void RouterLoop::accept_burst(int listen_fd, bool tcp) {
-  for (;;) {
-    std::optional<UniqueFd> conn = serve::accept_pending(listen_fd);
-    if (!conn) return;
-    admit(std::move(*conn), tcp);
-  }
-}
-
-void RouterLoop::admit(UniqueFd fd, bool tcp) {
-  const auto shed = [&](UniqueFd conn, Status status) {
-    router_.connections_shed_.fetch_add(1, std::memory_order_relaxed);
-    try {
-      const ServeError e(status, "admission",
-                         status == Status::kOverloaded
-                             ? "router connection slots full; retry with "
-                               "backoff"
-                             : "router is draining; connection rejected");
-      serve::write_frame(conn.get(), serve::encode_error(e),
-                         kShedReplyTimeoutMs, opt_.max_frame_bytes);
-    } catch (...) {
-      // Best effort: the peer may already be gone.
-    }
-  };
-  if (draining_) {
-    shed(std::move(fd), Status::kShuttingDown);
-    return;
-  }
-  if (conns_.size() < opt_.max_connections) {
-    make_active(std::move(fd), tcp);
-    return;
-  }
-  if (parked_.size() < opt_.max_pending) {
-    parked_.emplace_back(std::move(fd), tcp);
-    return;
-  }
-  shed(std::move(fd), Status::kOverloaded);
-}
-
-void RouterLoop::make_active(UniqueFd fd, bool tcp) {
-  serve::set_nonblocking(fd.get());
-  if (tcp) serve::set_tcp_nodelay(fd.get());
-  const std::uint64_t tag = next_tag_++;
-  auto it = conns_
-                .emplace(std::piecewise_construct, std::forward_as_tuple(tag),
-                         std::forward_as_tuple(std::move(fd), tcp,
-                                               opt_.max_frame_bytes))
-                .first;
-  poller_.add(it->second.fd.get(), EPOLLIN, tag);
-  touch(tag);
-}
-
-void RouterLoop::promote_parked() {
-  while (!draining_ && !parked_.empty() &&
-         conns_.size() < opt_.max_connections) {
-    auto [fd, tcp] = std::move(parked_.front());
-    parked_.pop_front();
-    make_active(std::move(fd), tcp);
-  }
-}
-
-bool RouterLoop::drain_reads(Conn& c) {
-  bool eof = false;
-  try {
-    while (c.read_open) {
-      const std::size_t want =
-          std::max(c.frames.missing_bytes(), kReadChunkBytes);
-      std::uint8_t* window = c.frames.write_window(want);
-      const ssize_t got = fault::sys_read(c.fd.get(), window, want);
-      if (got > 0) {
-        c.frames.commit(static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got == 0) {
-        eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN) break;
-      return false;
-    }
-  } catch (const ServeError& e) {
-    tear(c, e);
-    return true;
-  }
-  if (eof) {
-    c.read_open = false;
-    if (c.frames.mid_frame()) {
-      tear(c, ServeError(Status::kBadRequest, "read_frame",
-                         "connection closed mid-frame"));
-    } else {
-      c.close_after_flush = true;
-    }
-  }
-  return true;
-}
-
-void RouterLoop::tear(Conn& c, const ServeError& e) {
-  c.read_open = false;
-  c.tear_error = serve::encode_error(e);
-}
-
-bool RouterLoop::try_flush(Conn& c) {
-  try {
-    c.replies.drain_ready(c.wire, opt_.max_frame_bytes);
-  } catch (const ServeError&) {
-    return false;
-  }
-  while (c.wire_off < c.wire.size()) {
-    const ssize_t sent =
-        fault::sys_send(c.fd.get(), c.wire.data() + c.wire_off,
-                        c.wire.size() - c.wire_off, MSG_NOSIGNAL);
-    if (sent >= 0) {
-      c.wire_off += static_cast<std::size_t>(sent);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN) return true;
-    return false;
-  }
-  c.wire.clear();
-  c.wire_off = 0;
-  return true;
-}
-
-void RouterLoop::settle(ConnMap::iterator it) {
-  Conn& c = it->second;
-  // A tear error may flush once every frame received before the tear has
-  // been routed (its seq reserved): OrderedReplies then sequences the
-  // error behind whatever replies are still in flight on backends.
-  if (c.tear_error && c.frames.complete_frames() == 0) {
-    c.replies.complete(c.replies.reserve(), std::move(*c.tear_error));
-    c.tear_error.reset();
-    c.close_after_flush = true;
-  }
-  if (!try_flush(c)) {
-    close_conn(it);
-    return;
-  }
-  if (c.close_after_flush && !c.work_left() && !c.write_pending()) {
-    close_conn(it);
-    return;
-  }
-  update_interest(it->first, c);
-}
-
-void RouterLoop::update_interest(std::uint64_t tag, Conn& c) {
-  std::uint32_t want = 0;
-  if (c.read_open && c.replies.outstanding() < opt_.max_pipeline)
-    want |= EPOLLIN;
-  if (c.write_pending()) want |= EPOLLOUT;
-  if (want != c.events) {
-    poller_.modify(c.fd.get(), want, tag);
-    c.events = want;
-  }
-}
-
-RouterLoop::ConnMap::iterator RouterLoop::close_conn(ConnMap::iterator it) {
-  poller_.remove(it->second.fd.get());
-  wheel_.cancel(it->first);
-  auto next = conns_.erase(it);
-  // Pending backend work for this client resolves to a dropped reply when
-  // it completes — the positional queues must stay aligned, so entries
-  // are never plucked out mid-stream.
-  promote_parked();
-  return next;
-}
-
-void RouterLoop::touch(std::uint64_t tag) {
-  wheel_.set(tag,
-             Clock::now() + std::chrono::milliseconds(opt_.request_timeout_ms));
-}
-
-void RouterLoop::check_client_deadlines() {
-  expired_scratch_.clear();
-  wheel_.collect(Clock::now(), expired_scratch_);
-  for (const std::uint64_t tag : expired_scratch_) {
-    auto it = conns_.find(tag);
-    if (it == conns_.end()) continue;
-    Conn& c = it->second;
-    if (c.work_left()) {
-      touch(tag);  // replies still in flight on backends: not stalled
-      continue;
-    }
-    if (c.write_pending()) {
-      close_conn(it);
-      continue;
-    }
-    const ServeError e(Status::kTimeout, "route_connection",
-                       "no request arrived within " +
-                           std::to_string(opt_.request_timeout_ms) + " ms");
-    try {
-      serve::write_frame(c.fd.get(), serve::encode_error(e),
-                         kShedReplyTimeoutMs, opt_.max_frame_bytes);
-    } catch (const ServeError&) {
-    }
-    close_conn(it);
-  }
-}
-
-void RouterLoop::start_drain() {
-  draining_ = true;
-  if (router_.unix_listen_.valid()) {
-    poller_.remove(router_.unix_listen_.get());
-    router_.unix_listen_.reset();
-  }
-  if (router_.tcp_listen_.valid()) {
-    poller_.remove(router_.tcp_listen_.get());
-    router_.tcp_listen_.reset();
-  }
-  for (auto& [fd, tcp] : parked_) {
-    router_.connections_shed_.fetch_add(1, std::memory_order_relaxed);
-    try {
-      serve::write_frame(fd.get(),
-                         serve::encode_error(ServeError(
-                             Status::kShuttingDown, "admission",
-                             "router is draining; connection rejected")),
-                         kShedReplyTimeoutMs, opt_.max_frame_bytes);
-    } catch (...) {
-    }
-  }
-  parked_.clear();
-  // Route everything already received — the drain guarantee — then close
-  // what has nothing left. route_frames/settle may erase entries, so
-  // iterate over a tag snapshot.
-  std::vector<std::uint64_t> tags;
-  tags.reserve(conns_.size());
-  for (const auto& [tag, c] : conns_) tags.push_back(tag);
-  for (const std::uint64_t tag : tags) {
-    auto it = conns_.find(tag);
-    if (it == conns_.end()) continue;
-    it->second.read_open = false;
-    it->second.close_after_flush = true;
-    route_frames(it);
-  }
+void RouterLoop::on_tick() {
+  for (const std::uint64_t tag : frontend_.ready()) route_frames(tag);
+  check_backends(Clock::now());
 }
 
 // ---- routing ---------------------------------------------------------------
 
-void RouterLoop::route_frames(ConnMap::iterator it) {
-  Conn& c = it->second;
-  while (c.frames.complete_frames() > 0) {
-    if (route_one(it->first, c, c.frames.front_data(), c.frames.front_size()))
+void RouterLoop::route_frames(std::uint64_t tag) {
+  // Routing never closes a connection (replies completed elsewhere settle
+  // at the end of the round): `c` stays valid until the settle below.
+  Frontend::Conn* c = frontend_.find(tag);
+  if (c == nullptr) return;
+  while (c->frames.complete_frames() > 0) {
+    if (route_one(tag, *c, c->frames.front_data(), c->frames.front_size()))
       break;  // stream torn: route_one discarded the remaining frames
-    c.frames.pop_front();
+    c->frames.pop_front();
   }
-  settle(it);
+  frontend_.settle(tag);
 }
 
 void RouterLoop::complete_client(std::uint64_t tag, std::uint64_t seq,
                                  std::vector<std::uint8_t> reply) {
-  auto it = conns_.find(tag);
-  if (it == conns_.end()) return;  // client left before its reply arrived
-  it->second.replies.complete(seq, std::move(reply));
-  // Settled later in the loop round: a settle here could close the
-  // connection under an iterator a routing path still holds.
-  dirty_.push_back(tag);
+  // Dropped when the client left before its reply arrived: its pending
+  // backend entries still resolve, so the positional queues stay aligned.
+  // Flushed when the Frontend settles the connection at the end of the
+  // loop round.
+  frontend_.complete(tag, seq, std::move(reply), /*close_after=*/false);
 }
 
-void RouterLoop::settle_dirty() {
-  if (dirty_.empty()) return;
-  std::sort(dirty_.begin(), dirty_.end());
-  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
-  // settle may close other connections only via its own iterator, so a
-  // tag-by-tag lookup stays valid across erasures.
-  std::vector<std::uint64_t> batch;
-  batch.swap(dirty_);
-  for (const std::uint64_t tag : batch) {
-    auto it = conns_.find(tag);
-    if (it != conns_.end()) settle(it);
-  }
-}
-
-bool RouterLoop::route_one(std::uint64_t tag, Conn& c,
+bool RouterLoop::route_one(std::uint64_t tag, Frontend::Conn& c,
                            const std::uint8_t* frame, std::size_t size) {
   const std::uint64_t seq = c.replies.reserve();
   router_.requests_routed_.fetch_add(1, std::memory_order_relaxed);
@@ -598,26 +237,18 @@ bool RouterLoop::route_one(std::uint64_t tag, Conn& c,
   } catch (const ServeError& e) {
     // Undecodable verb/name: same verdict and torn-stream semantics the
     // daemon gives an undecodable frame — reply in order, then close.
-    c.replies.complete(seq, serve::encode_error(e));
-    c.frames.discard();
-    c.tear_error.reset();
-    c.read_open = false;
-    c.close_after_flush = true;
+    frontend_.complete(tag, seq, serve::encode_error(e), /*close_after=*/true);
     return true;
   }
   switch (info.type) {
     case MessageType::kPing:
-      c.replies.complete(seq, serve::encode_ok());
+      frontend_.complete(tag, seq, serve::encode_ok(), /*close_after=*/false);
       return false;
     case MessageType::kShutdown:
       // Drains the router only. Backends are independent daemons with
       // their own lifecycles — a client-facing shutdown must not take
       // the whole cluster down.
-      c.replies.complete(seq, serve::encode_ok());
-      c.frames.discard();
-      c.tear_error.reset();
-      c.read_open = false;
-      c.close_after_flush = true;
+      frontend_.complete(tag, seq, serve::encode_ok(), /*close_after=*/true);
       router_.request_stop();
       return true;
     case MessageType::kEvaluate:
@@ -747,30 +378,11 @@ void RouterLoop::send_to_backend(std::size_t index, Pending pending) {
   serve::append_frame(b.wire, pending.frame.data(), pending.frame.size(),
                       opt_.max_frame_bytes);
   b.pending.push_back(std::move(pending));
-  if (!flush_backend(index)) {
+  if (!serve::send_available(b.fd.get(), b.wire, b.wire_off)) {
     fail_backend(index, "send failed");
     return;
   }
   update_backend_interest(index);
-}
-
-bool RouterLoop::flush_backend(std::size_t index) {
-  Backend& b = backends_[index];
-  while (b.wire_off < b.wire.size()) {
-    const ssize_t sent =
-        fault::sys_send(b.fd.get(), b.wire.data() + b.wire_off,
-                        b.wire.size() - b.wire_off, MSG_NOSIGNAL);
-    if (sent >= 0) {
-      b.wire_off += static_cast<std::size_t>(sent);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN) return true;  // EPOLLOUT re-arms via interest
-    return false;
-  }
-  b.wire.clear();
-  b.wire_off = 0;
-  return true;
 }
 
 void RouterLoop::update_backend_interest(std::size_t index) {
@@ -779,7 +391,7 @@ void RouterLoop::update_backend_interest(std::size_t index) {
   std::uint32_t want = EPOLLIN;
   if (b.write_pending()) want |= EPOLLOUT;
   if (want != b.events) {
-    poller_.modify(b.fd.get(), want, kBackendTagBase + index);
+    frontend_.poller().modify(b.fd.get(), want, kBackendTagBase + index);
     b.events = want;
   }
 }
@@ -791,7 +403,8 @@ void RouterLoop::handle_backend_event(std::size_t index, std::uint32_t ev) {
     fail_backend(index, "connection reset");
     return;
   }
-  if ((ev & EPOLLOUT) != 0 && !flush_backend(index)) {
+  if ((ev & EPOLLOUT) != 0 &&
+      !serve::send_available(b.fd.get(), b.wire, b.wire_off)) {
     fail_backend(index, "send failed");
     return;
   }
@@ -807,20 +420,9 @@ void RouterLoop::handle_backend_event(std::size_t index, std::uint32_t ev) {
 
 bool RouterLoop::drain_backend_reads(Backend& b) {
   try {
-    for (;;) {
-      const std::size_t want =
-          std::max(b.frames->missing_bytes(), kReadChunkBytes);
-      std::uint8_t* window = b.frames->write_window(want);
-      const ssize_t got = fault::sys_read(b.fd.get(), window, want);
-      if (got > 0) {
-        b.frames->commit(static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got == 0) return false;  // backend closed: transport failure
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN) return true;
-      return false;
-    }
+    // EOF is a transport failure too: the backend closed its side.
+    return serve::read_available(b.fd.get(), *b.frames) ==
+           serve::ReadEnd::kWouldBlock;
   } catch (const ServeError&) {
     return false;  // oversized/garbled reply prefix: stream unusable
   }
@@ -984,7 +586,7 @@ void RouterLoop::finish_fan(FanOut& fan) {
 void RouterLoop::fail_backend(std::size_t index, const char* why) {
   Backend& b = backends_[index];
   if (b.fd.valid()) {
-    poller_.remove(b.fd.get());
+    frontend_.poller().remove(b.fd.get());
     b.fd.reset();
   }
   b.up = false;
@@ -1063,7 +665,7 @@ void RouterLoop::try_connect(std::size_t index) {
     if (b.endpoint.tcp) serve::set_tcp_nodelay(fd.get());
     b.fd = std::move(fd);
     b.events = EPOLLIN;
-    poller_.add(b.fd.get(), EPOLLIN, kBackendTagBase + index);
+    frontend_.poller().add(b.fd.get(), EPOLLIN, kBackendTagBase + index);
     b.up = true;
     b.prev_backoff_ms = opt_.reconnect_base_ms;
     b.next_probe = Clock::now();  // probe immediately to confirm liveness
@@ -1121,22 +723,8 @@ Router::Router(RouterOptions options)
     backend_endpoints_.push_back(serve::parse_endpoint(spec));
   if (options_.max_pipeline == 0) options_.max_pipeline = 1;
   if (options_.max_connections == 0) options_.max_connections = 1;
-  if (!options_.socket_path.empty())
-    unix_listen_ = serve::listen_unix(options_.socket_path);
-  if (!options_.tcp_address.empty()) {
-    const Endpoint requested =
-        serve::parse_endpoint("tcp:" + options_.tcp_address);
-    serve::TcpListener listener =
-        serve::listen_tcp(requested.host, requested.port);
-    tcp_listen_ = std::move(listener.fd);
-    tcp_endpoint_.tcp = true;
-    tcp_endpoint_.host = requested.host.empty() ? "127.0.0.1" : requested.host;
-    tcp_endpoint_.port = listener.port;
-  }
-}
-
-Router::~Router() {
-  if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
+  frontend_ = std::make_unique<serve::Frontend>(
+      serve::frontend_options(options_, options_.max_connections));
 }
 
 void Router::run() {

@@ -23,6 +23,9 @@
 //   ping, shutdown  -> answered by the router itself; shutdown drains the
 //                      router, never the backends.
 //
+// The client side — listeners, admission, pipelining, ordered replies,
+// deadlines, drain — is the shared front end (serve/frontend.hpp, DESIGN.md
+// §8), the same one bmf_served uses; this file adds the backend side.
 // One thread owns everything — the router moves bytes, it never computes,
 // so there is no worker pool and (per the src/sync discipline) no locks:
 // the only cross-thread state is the stop flag and the observability
@@ -38,11 +41,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "router/hash_ring.hpp"
 #include "serve/error.hpp"
+#include "serve/frontend.hpp"
 #include "serve/wire.hpp"
 
 namespace bmf::router {
@@ -90,9 +95,6 @@ class Router {
   /// on bad configuration.
   explicit Router(RouterOptions options);
 
-  /// Unlinks the UNIX socket path (if any).
-  ~Router();
-
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
@@ -112,7 +114,7 @@ class Router {
 
   /// The TCP endpoint actually bound (port 0 resolved); .tcp is false
   /// when no TCP listener is configured.
-  serve::Endpoint tcp_endpoint() const { return tcp_endpoint_; }
+  serve::Endpoint tcp_endpoint() const { return frontend_->tcp_endpoint(); }
 
   // Observability counters (any thread).
   std::uint64_t requests_routed() const { return requests_routed_.load(); }
@@ -121,7 +123,9 @@ class Router {
     return upstream_unavailable_.load();
   }
   std::uint64_t probes_sent() const { return probes_sent_.load(); }
-  std::uint64_t connections_shed() const { return connections_shed_.load(); }
+  std::uint64_t connections_shed() const {
+    return frontend_->connections_shed();
+  }
 
  private:
   friend class RouterLoop;  // run()'s loop state, defined in router.cpp
@@ -129,15 +133,13 @@ class Router {
   RouterOptions options_;
   HashRing ring_;
   std::vector<serve::Endpoint> backend_endpoints_;
-  serve::UniqueFd unix_listen_;
-  serve::UniqueFd tcp_listen_;
-  serve::Endpoint tcp_endpoint_;
+  /// Client listeners and connections; unlinks the UNIX path when dropped.
+  std::unique_ptr<serve::Frontend> frontend_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> requests_routed_{0};
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> upstream_unavailable_{0};
   std::atomic<std::uint64_t> probes_sent_{0};
-  std::atomic<std::uint64_t> connections_shed_{0};
   std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
 };

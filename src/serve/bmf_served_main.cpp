@@ -29,7 +29,6 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 
 #include "fault/fault.hpp"
 #include "io/args.hpp"
@@ -111,22 +110,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(info.records_replayed),
           static_cast<unsigned long long>(info.truncation_events));
     }
-    if (!socket_path.empty() && !quiet)
-      std::fprintf(stderr, "bmf_served: listening on unix:%s\n",
-                   socket_path.c_str());
-    if (!tcp_address.empty()) {
-      const std::string resolved = to_string(server.tcp_endpoint());
-      if (!quiet)
-        std::fprintf(stderr, "bmf_served: listening on %s\n",
-                     resolved.c_str());
-      if (!announce_path.empty()) {
-        std::ofstream announce(announce_path, std::ios::trunc);
-        announce << resolved << "\n";
-        if (!announce)
-          throw std::runtime_error("cannot write --tcp-announce file " +
-                                   announce_path);
-      }
-    }
+    bmf::serve::announce_listeners("bmf_served", socket_path, server.tcp_endpoint(),
+                                   announce_path, quiet);
     server.run();
     g_server = nullptr;
     if (!quiet)

@@ -1,4 +1,4 @@
-// Per-connection building blocks of the epoll event loop (server.cpp):
+// Per-connection building blocks of the client front end (frontend.hpp):
 // incremental frame parsing, ordered reply sequencing, and a hashed
 // deadline wheel. These are pure data structures — no sockets, no
 // syscalls — so the pipelining unit tests (tests/serve_pipeline_test.cpp)

@@ -1,24 +1,15 @@
 #include "serve/server.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <array>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <deque>
 #include <exception>
-#include <map>
-#include <optional>
 #include <thread>
 #include <utility>
 
 #include "bmf/map_solver.hpp"
 #include "bmf/prior.hpp"
-#include "fault/fault.hpp"
-#include "serve/connection.hpp"
 #include "serve/model_codec.hpp"
 #include "serve/protocol.hpp"
 #include "sync/mutex.hpp"
@@ -27,91 +18,42 @@ namespace bmf::serve {
 
 namespace {
 
-/// Epoll timeout cap: the latency bound on noticing request_stop().
+/// Worker wait tick: the latency bound on a worker noticing request_stop().
 constexpr int kLoopTickMs = 100;
 
-/// Deadline for the best-effort error reply on a shed or timed-out
-/// connection. Short: the point of shedding is to stay responsive, not to
-/// babysit the peer.
-constexpr int kShedReplyTimeoutMs = 100;
-
-/// Deadline wheel granularity and size (256 slots of 25 ms cover 6.4 s —
-/// more than request_timeout_ms's default — before an entry wraps).
-constexpr int kWheelTickMs = 25;
-constexpr std::size_t kWheelSlots = 256;
-
-/// Default read size when the frame parser has no better hint. Large
-/// enough that a burst of small pipelined frames lands in one syscall.
-constexpr std::size_t kReadChunkBytes = std::size_t{64} * 1024;
-
-/// epoll tags: fixed ids for the loop-owned fds; connection tags count up
-/// from kConnTagBase and are never reused.
+/// epoll tag of the wakeup eventfd (in the Frontend's owner range).
 constexpr std::uint64_t kTagWakeup = 0;
-constexpr std::uint64_t kTagUnixListener = 1;
-constexpr std::uint64_t kTagTcpListener = 2;
-constexpr std::uint64_t kConnTagBase = 16;
 
 using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-/// run()'s state: the epoll loop, the connection table, and the worker
-/// pool's hand-off queues. Lives on run()'s stack. Single-threaded except
+/// run()'s state: the worker pool behind the client front end, and its
+/// hand-off queues. Lives on run()'s stack. Loop-thread only except
 /// jobs_/done_ (mutex-protected) and the wakeup fd — the only points the
 /// workers touch.
-class EventLoop {
+class WorkerPool final : public Frontend::Handler {
  public:
-  explicit EventLoop(Server& server)
-      : server_(server),
-        opt_(server.options_),
-        max_active_(opt_.max_connections != 0 ? opt_.max_connections
-                                              : opt_.worker_threads),
-        wheel_(Clock::now(), kWheelTickMs, kWheelSlots) {
-    poller_.add(wakeup_.fd(), EPOLLIN, kTagWakeup);
-    if (server_.unix_listen_.valid()) {
-      set_nonblocking(server_.unix_listen_.get());
-      poller_.add(server_.unix_listen_.get(), EPOLLIN, kTagUnixListener);
-    }
-    if (server_.tcp_listen_.valid()) {
-      set_nonblocking(server_.tcp_listen_.get());
-      poller_.add(server_.tcp_listen_.get(), EPOLLIN, kTagTcpListener);
-    }
+  explicit WorkerPool(Server& server)
+      : server_(server), frontend_(*server.frontend_) {
+    frontend_.poller().add(wakeup_.fd(), EPOLLIN, kTagWakeup);
   }
 
   void run();
 
+  void on_event(std::uint64_t, std::uint32_t) override {
+    wakeup_.drain();  // the only owner fd: completions are applied on tick
+  }
+  void on_tick() override {
+    process_completions();
+    dispatch_ready();
+  }
+  bool idle() override {
+    steal_queued_jobs();
+    return jobs_outstanding_ == 0;
+  }
+
  private:
-  struct Conn {
-    Conn(UniqueFd f, bool is_tcp, std::size_t max_frame)
-        : fd(std::move(f)), tcp(is_tcp), frames(max_frame) {}
-
-    UniqueFd fd;
-    bool tcp;
-    FrameBuffer frames;
-    OrderedReplies replies;
-    /// A parse-level tear (oversized prefix, EOF mid-frame) holds its
-    /// encoded error reply here until every frame received *before* the
-    /// tear has been served — the error then flushes in order and the
-    /// connection closes.
-    std::optional<std::vector<std::uint8_t>> tear_error;
-    bool executing = false;        // one request in the compute stage
-    bool read_open = true;         // false after EOF or a torn stream
-    bool close_after_flush = false;
-    std::uint32_t events = EPOLLIN;  // interest currently registered
-    std::vector<std::uint8_t> wire;  // outgoing bytes (prefixed replies)
-    std::size_t wire_off = 0;
-
-    std::size_t in_flight() const {
-      return frames.complete_frames() + (executing ? 1u : 0u);
-    }
-    bool write_pending() const { return wire_off < wire.size(); }
-    bool work_left() const {
-      return executing || frames.complete_frames() > 0 ||
-             tear_error.has_value();
-    }
-  };
-  using ConnMap = std::map<std::uint64_t, Conn>;
-
   struct Job {
     std::uint64_t tag = 0;
     std::uint64_t seq = 0;
@@ -124,38 +66,15 @@ class EventLoop {
   };
 
   void worker_body();
-  void accept_burst(int listen_fd, bool tcp);
-  void admit(UniqueFd fd, bool tcp);
-  void make_active(UniqueFd fd, bool tcp);
-  void promote_parked();
-  bool drain_reads(Conn& c);
-  bool try_flush(Conn& c);
-  void settle(ConnMap::iterator it);
-  void update_interest(std::uint64_t tag, Conn& c);
-  ConnMap::iterator close_conn(ConnMap::iterator it);
-  void touch(std::uint64_t tag);
-  void tear(Conn& c, const ServeError& e);
-  void apply_result(Conn& c, std::uint64_t seq, Server::ExecuteResult result);
   void apply_completion(Completion done);
   void process_completions();
   void dispatch_ready();
   void run_inline(std::uint64_t tag);
   void steal_queued_jobs();
-  void check_deadlines();
-  void start_drain();
 
   Server& server_;
-  const ServerOptions& opt_;
-  std::size_t max_active_;
-  Poller poller_;
+  Frontend& frontend_;
   WakeupFd wakeup_;
-  DeadlineWheel wheel_;
-  // Ordered maps/deques throughout (repo lint: no unordered containers in
-  // numeric sources); the table is small and iteration order is stable.
-  ConnMap conns_;
-  std::deque<std::pair<UniqueFd, bool>> parked_;  // (fd, is_tcp)
-  std::uint64_t next_tag_ = kConnTagBase;
-  bool draining_ = false;
 
   /// The two hand-off points between the loop thread and the worker pool
   /// (DESIGN.md §11). Lock order: jobs_mu_ and done_mu_ are never held
@@ -170,69 +89,18 @@ class EventLoop {
   /// the completion — or a drain-time steal — is applied).
   std::size_t jobs_outstanding_ = 0;
   std::vector<std::thread> workers_;
-
-  std::vector<std::uint64_t> ready_scratch_;
-  std::vector<std::uint64_t> expired_scratch_;
 };
 
-void EventLoop::run() {
-  workers_.reserve(opt_.worker_threads);
-  for (std::size_t i = 0; i < opt_.worker_threads; ++i)
+void WorkerPool::run() {
+  workers_.reserve(server_.options_.worker_threads);
+  for (std::size_t i = 0; i < server_.options_.worker_threads; ++i)
     workers_.emplace_back([this] { worker_body(); });
-
-  std::array<struct epoll_event, 64> events{};
-  for (;;) {
-    if (server_.stop_requested() && !draining_) start_drain();
-    if (draining_) {
-      steal_queued_jobs();
-      if (conns_.empty() && jobs_outstanding_ == 0) break;
-    }
-
-    const int timeout = wheel_.next_timeout_ms(kLoopTickMs);
-    const int n =
-        poller_.wait(events.data(), static_cast<int>(events.size()), timeout);
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[static_cast<std::size_t>(i)].data.u64;
-      const std::uint32_t ev = events[static_cast<std::size_t>(i)].events;
-      if (tag == kTagWakeup) {
-        wakeup_.drain();
-      } else if (tag == kTagUnixListener) {
-        accept_burst(server_.unix_listen_.get(), /*tcp=*/false);
-      } else if (tag == kTagTcpListener) {
-        accept_burst(server_.tcp_listen_.get(), /*tcp=*/true);
-      } else {
-        auto it = conns_.find(tag);
-        if (it == conns_.end()) continue;  // closed earlier in this batch
-        Conn& c = it->second;
-        if ((ev & (EPOLLHUP | EPOLLERR)) != 0 && (ev & EPOLLIN) == 0) {
-          // Peer is gone and nothing is readable: nothing to salvage.
-          close_conn(it);
-          continue;
-        }
-        if ((ev & EPOLLOUT) != 0 && !try_flush(c)) {
-          close_conn(it);
-          continue;
-        }
-        if ((ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && c.read_open) {
-          if (!drain_reads(c)) {
-            close_conn(it);
-            continue;
-          }
-          touch(tag);
-        }
-        settle(it);
-      }
-    }
-    process_completions();
-    dispatch_ready();
-    check_deadlines();
-  }
-
+  frontend_.run(*this, server_.stop_);
   jobs_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void EventLoop::worker_body() {
+void WorkerPool::worker_body() {
   for (;;) {
     Job job;
     {
@@ -265,211 +133,19 @@ void EventLoop::worker_body() {
   }
 }
 
-void EventLoop::accept_burst(int listen_fd, bool tcp) {
-  for (;;) {
-    std::optional<UniqueFd> conn = accept_pending(listen_fd);
-    if (!conn) return;
-    admit(std::move(*conn), tcp);
-  }
-}
-
-void EventLoop::admit(UniqueFd fd, bool tcp) {
-  if (draining_) {
-    server_.shed(std::move(fd), Status::kShuttingDown);
-    return;
-  }
-  if (conns_.size() < max_active_) {
-    make_active(std::move(fd), tcp);
-    return;
-  }
-  if (parked_.size() < opt_.max_pending) {
-    // Accepted but unregistered: the peer sees an established connection
-    // and its first frames sit in kernel buffers until a slot frees up.
-    parked_.emplace_back(std::move(fd), tcp);
-    return;
-  }
-  server_.shed(std::move(fd), Status::kOverloaded);
-}
-
-void EventLoop::make_active(UniqueFd fd, bool tcp) {
-  set_nonblocking(fd.get());
-  if (tcp) set_tcp_nodelay(fd.get());
-  const std::uint64_t tag = next_tag_++;
-  auto it = conns_
-                .emplace(std::piecewise_construct, std::forward_as_tuple(tag),
-                         std::forward_as_tuple(std::move(fd), tcp,
-                                               opt_.max_frame_bytes))
-                .first;
-  poller_.add(it->second.fd.get(), EPOLLIN, tag);
-  touch(tag);
-}
-
-void EventLoop::promote_parked() {
-  while (!draining_ && !parked_.empty() && conns_.size() < max_active_) {
-    auto [fd, tcp] = std::move(parked_.front());
-    parked_.pop_front();
-    make_active(std::move(fd), tcp);
-  }
-}
-
-/// Read until EAGAIN, landing bytes directly in the connection's frame
-/// buffer (no bounce copy: a large evaluate frame is read straight into
-/// the storage it is decoded from). Returns false when the transport
-/// failed and the connection should close silently.
-bool EventLoop::drain_reads(Conn& c) {
-  bool progressed = false;
-  bool eof = false;
-  try {
-    while (c.read_open) {
-      // Size the window to finish the pending frame in one read when its
-      // length is known; otherwise a chunk that covers a pipelined burst.
-      const std::size_t want =
-          std::max(c.frames.missing_bytes(), kReadChunkBytes);
-      std::uint8_t* window = c.frames.write_window(want);
-      const ssize_t got = fault::sys_read(c.fd.get(), window, want);
-      if (got > 0) {
-        c.frames.commit(static_cast<std::size_t>(got));
-        progressed = true;
-        continue;
-      }
-      if (got == 0) {
-        eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      // EWOULDBLOCK is EAGAIN on Linux (the only platform: epoll/eventfd).
-      if (errno == EAGAIN) break;
-      return false;  // ECONNRESET and friends: transport is gone
-    }
-  } catch (const ServeError& e) {
-    // Oversized length prefix: the frame boundary is lost. Frames already
-    // buffered are served; the error reply follows them, then close.
-    tear(c, e);
-    return true;
-  }
-  (void)progressed;  // deadline refresh happens at the call site (by tag)
-  if (eof) {
-    c.read_open = false;
-    if (c.frames.mid_frame()) {
-      // The same verdict the blocking read path gave a truncated frame.
-      tear(c, ServeError(Status::kBadRequest, "read_frame",
-                         "connection closed mid-frame"));
-    } else {
-      // Clean half-close: serve everything received, then close.
-      c.close_after_flush = true;
-    }
-  }
-  return true;
-}
-
-void EventLoop::tear(Conn& c, const ServeError& e) {
-  c.read_open = false;
-  c.tear_error = encode_error(e);
-}
-
-/// Flush as much of the ordered-reply wire buffer as the socket accepts.
-/// Consecutive completed replies coalesce into one send. Returns false
-/// when the peer is gone.
-bool EventLoop::try_flush(Conn& c) {
-  try {
-    c.replies.drain_ready(c.wire, opt_.max_frame_bytes);
-  } catch (const ServeError&) {
-    return false;  // reply exceeds the frame bound: unservable connection
-  }
-  while (c.wire_off < c.wire.size()) {
-    const ssize_t sent =
-        fault::sys_send(c.fd.get(), c.wire.data() + c.wire_off,
-                        c.wire.size() - c.wire_off, MSG_NOSIGNAL);
-    if (sent >= 0) {
-      c.wire_off += static_cast<std::size_t>(sent);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    // EWOULDBLOCK is EAGAIN on Linux (the only platform: epoll/eventfd).
-    if (errno == EAGAIN)
-      return true;  // kernel buffer full: EPOLLOUT re-arms via settle
-    return false;  // EPIPE/ECONNRESET: peer gone
-  }
-  c.wire.clear();
-  c.wire_off = 0;
-  return true;
-}
-
-/// Post-event bookkeeping for one connection: deliver a pending tear
-/// error once prior work finished, flush, close when nothing remains,
-/// refresh epoll interest otherwise.
-void EventLoop::settle(ConnMap::iterator it) {
-  Conn& c = it->second;
-  if (c.tear_error && !c.executing && c.frames.complete_frames() == 0) {
-    c.replies.complete(c.replies.reserve(), std::move(*c.tear_error));
-    c.tear_error.reset();
-    c.close_after_flush = true;
-  }
-  if (!try_flush(c)) {
-    close_conn(it);
-    return;
-  }
-  if (c.close_after_flush && !c.work_left() && !c.write_pending()) {
-    close_conn(it);
-    return;
-  }
-  update_interest(it->first, c);
-}
-
-void EventLoop::update_interest(std::uint64_t tag, Conn& c) {
-  std::uint32_t want = 0;
-  // Pipelining backpressure: past max_pipeline in-flight requests the
-  // loop stops reading; the client blocks in its own send once kernel
-  // buffers fill. Completions shrink in_flight() and re-arm EPOLLIN.
-  if (c.read_open && c.in_flight() < opt_.max_pipeline) want |= EPOLLIN;
-  if (c.write_pending()) want |= EPOLLOUT;
-  if (want != c.events) {
-    poller_.modify(c.fd.get(), want, tag);
-    c.events = want;
-  }
-}
-
-EventLoop::ConnMap::iterator EventLoop::close_conn(ConnMap::iterator it) {
-  poller_.remove(it->second.fd.get());
-  wheel_.cancel(it->first);
-  auto next = conns_.erase(it);
-  promote_parked();
-  return next;
-}
-
-/// Push the connection's deadline out one full timeout: called on accept,
-/// on read progress, and on every completion.
-void EventLoop::touch(std::uint64_t tag) {
-  wheel_.set(tag,
-             Clock::now() + std::chrono::milliseconds(opt_.request_timeout_ms));
-}
-
-void EventLoop::apply_result(Conn& c, std::uint64_t seq,
-                             Server::ExecuteResult result) {
-  if (result.shutdown) server_.request_stop();
-  c.replies.complete(seq, std::move(result.reply));
-  if (result.close_after) {
-    // Execute-level tear (undecodable frame) or shutdown ack: bytes after
-    // this frame cannot be trusted / will never be served. Drop them.
-    c.frames.discard();
-    c.tear_error.reset();
-    c.read_open = false;
-    c.close_after_flush = true;
-  }
-}
-
-void EventLoop::apply_completion(Completion done) {
+void WorkerPool::apply_completion(Completion done) {
   --jobs_outstanding_;
   server_.queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-  auto it = conns_.find(done.tag);
-  if (it == conns_.end()) return;  // connection died while computing
-  it->second.executing = false;
-  apply_result(it->second, done.seq, std::move(done.result));
-  touch(done.tag);
-  settle(it);
+  Frontend::Conn* c = frontend_.find(done.tag);
+  if (c == nullptr) return;  // connection died while computing
+  c->executing = false;
+  if (done.result.shutdown) server_.request_stop();
+  frontend_.complete(done.tag, done.seq, std::move(done.result.reply),
+                     done.result.close_after);
+  frontend_.settle(done.tag);
 }
 
-void EventLoop::process_completions() {
+void WorkerPool::process_completions() {
   std::deque<Completion> batch;
   {
     sync::LockGuard lk(done_mu_);
@@ -481,28 +157,25 @@ void EventLoop::process_completions() {
 /// Hand every dispatchable request to the compute stage. One request per
 /// connection at a time: pipelining amortizes round-trips, it never
 /// reorders a connection's semantics.
-void EventLoop::dispatch_ready() {
-  ready_scratch_.clear();
-  for (auto& [tag, c] : conns_)
-    if (!c.executing && c.frames.complete_frames() > 0)
-      ready_scratch_.push_back(tag);
-  if (ready_scratch_.empty()) return;
+void WorkerPool::dispatch_ready() {
+  const std::vector<std::uint64_t>& ready = frontend_.ready();
+  if (ready.empty()) return;
 
   // Inline paths: with a single busy connection and an idle pool, worker
   // handoff is pure latency — the single-stream fast path runs the whole
   // pipelined burst on the loop thread and flushes one coalesced reply
   // batch. During a drain the pool may already have exited, so the loop
   // executes everything itself.
-  if (draining_ || server_.stop_requested() ||
-      (ready_scratch_.size() == 1 && jobs_outstanding_ == 0)) {
-    for (const std::uint64_t tag : ready_scratch_) run_inline(tag);
+  if (server_.stop_requested() ||
+      (ready.size() == 1 && jobs_outstanding_ == 0)) {
+    for (const std::uint64_t tag : ready) run_inline(tag);
     return;
   }
 
   {
     sync::LockGuard lk(jobs_mu_);
-    for (const std::uint64_t tag : ready_scratch_) {
-      Conn& c = conns_.find(tag)->second;
+    for (const std::uint64_t tag : ready) {
+      Frontend::Conn& c = *frontend_.find(tag);
       Job job;
       job.tag = tag;
       job.seq = c.replies.reserve();
@@ -514,32 +187,28 @@ void EventLoop::dispatch_ready() {
     }
   }
   jobs_cv_.notify_all();
-  for (const std::uint64_t tag : ready_scratch_) {
-    auto it = conns_.find(tag);
-    if (it != conns_.end()) update_interest(tag, it->second);
-  }
+  for (const std::uint64_t tag : ready) frontend_.update_interest(tag);
 }
 
-void EventLoop::run_inline(std::uint64_t tag) {
-  auto it = conns_.find(tag);
-  if (it == conns_.end()) return;
-  Conn& c = it->second;
-  while (!c.executing && c.frames.complete_frames() > 0) {
-    const std::uint64_t seq = c.replies.reserve();
+void WorkerPool::run_inline(std::uint64_t tag) {
+  Frontend::Conn* c = frontend_.find(tag);
+  if (c == nullptr) return;
+  while (!c->executing && c->frames.complete_frames() > 0) {
+    const std::uint64_t seq = c->replies.reserve();
     // Zero-copy: decode straight out of the read buffer.
-    Server::ExecuteResult result =
-        server_.execute_request(c.frames.front_data(), c.frames.front_size());
-    c.frames.pop_front();
-    apply_result(c, seq, std::move(result));
+    Server::ExecuteResult result = server_.execute_request(
+        c->frames.front_data(), c->frames.front_size());
+    c->frames.pop_front();
+    if (result.shutdown) server_.request_stop();
+    frontend_.complete(tag, seq, std::move(result.reply), result.close_after);
   }
-  touch(tag);
-  settle(it);
+  frontend_.settle(tag);
 }
 
 /// Drain backstop: dispatched jobs the pool never picked up (every worker
 /// can observe the stop flag and exit before a just-enqueued job) are
 /// executed by the loop so the drain guarantee holds with no pool.
-void EventLoop::steal_queued_jobs() {
+void WorkerPool::steal_queued_jobs() {
   for (;;) {
     Job job;
     {
@@ -548,83 +217,9 @@ void EventLoop::steal_queued_jobs() {
       job = std::move(jobs_.front());
       jobs_.pop_front();
     }
-    --jobs_outstanding_;
-    server_.queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    Server::ExecuteResult result =
-        server_.execute_request(job.frame.data(), job.frame.size());
-    auto it = conns_.find(job.tag);
-    if (it == conns_.end()) continue;
-    it->second.executing = false;
-    apply_result(it->second, job.seq, std::move(result));
-    settle(it);
-  }
-}
-
-void EventLoop::check_deadlines() {
-  expired_scratch_.clear();
-  wheel_.collect(Clock::now(), expired_scratch_);
-  for (const std::uint64_t tag : expired_scratch_) {
-    auto it = conns_.find(tag);
-    if (it == conns_.end()) continue;
-    Conn& c = it->second;
-    if (c.work_left()) {
-      // Compute in flight (a long solve, a deep queue): not stalled.
-      // Completions push the deadline out; this re-arm covers the gap.
-      touch(tag);
-      continue;
-    }
-    if (c.write_pending()) {
-      // The peer stopped reading its replies: nothing to say to it.
-      close_conn(it);
-      continue;
-    }
-    // Idle (no request arrived) or stalled mid-frame: the structured
-    // kTimeout verdict the blocking read path used to produce, best
-    // effort, then close.
-    const ServeError e(
-        Status::kTimeout, "serve_connection",
-        c.frames.mid_frame()
-            ? "request frame stalled mid-transfer for " +
-                  std::to_string(opt_.request_timeout_ms) + " ms"
-            : "no request arrived within " +
-                  std::to_string(opt_.request_timeout_ms) + " ms");
-    try {
-      write_frame(c.fd.get(), encode_error(e), kShedReplyTimeoutMs,
-                  opt_.max_frame_bytes);
-    } catch (const ServeError&) {
-    }
-    close_conn(it);
-  }
-}
-
-void EventLoop::start_drain() {
-  draining_ = true;
-  if (server_.unix_listen_.valid()) {
-    poller_.remove(server_.unix_listen_.get());
-    server_.unix_listen_.reset();
-  }
-  if (server_.tcp_listen_.valid()) {
-    poller_.remove(server_.tcp_listen_.get());
-    server_.tcp_listen_.reset();
-  }
-  // Parked connections were never read from: a structured rejection, not
-  // a silent close.
-  for (auto& [fd, tcp] : parked_)
-    server_.shed(std::move(fd), Status::kShuttingDown);
-  parked_.clear();
-  // Active connections: everything already received runs to completion,
-  // reply flushed — the in-flight half of the drain guarantee. Idle ones
-  // close now.
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    Conn& c = it->second;
-    c.read_open = false;
-    if (!c.work_left() && !c.write_pending()) {
-      it = close_conn(it);
-    } else {
-      c.close_after_flush = true;
-      update_interest(it->first, c);
-      ++it;
-    }
+    apply_completion({job.tag, job.seq,
+                      server_.execute_request(job.frame.data(),
+                                              job.frame.size())});
   }
 }
 
@@ -656,25 +251,14 @@ Server::Server(ServerOptions options)
         ++models_recovered_;
     registry_.seed_mutation_seq(recovery.max_seq);
   }
-  if (!options_.socket_path.empty())
-    unix_listen_ = listen_unix(options_.socket_path);
-  if (!options_.tcp_address.empty()) {
-    const Endpoint requested = parse_endpoint("tcp:" + options_.tcp_address);
-    TcpListener listener = listen_tcp(requested.host, requested.port);
-    tcp_listen_ = std::move(listener.fd);
-    tcp_endpoint_.tcp = true;
-    tcp_endpoint_.host = requested.host.empty() ? "127.0.0.1" : requested.host;
-    tcp_endpoint_.port = listener.port;
-  }
-}
-
-Server::~Server() {
-  if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
+  frontend_ = std::make_unique<Frontend>(frontend_options(
+      options_, options_.max_connections != 0 ? options_.max_connections
+                                              : options_.worker_threads));
 }
 
 void Server::run() {
-  EventLoop loop(*this);
-  loop.run();
+  WorkerPool pool(*this);
+  pool.run();
   if (store_) {
     try {
       store_->flush();  // interval/never: push acked tail to disk on drain
@@ -682,27 +266,6 @@ void Server::run() {
       // Shutdown path: the WAL is still scannable; recovery re-derives
       // whatever the kernel managed to persist.
     }
-  }
-}
-
-void Server::shed(UniqueFd conn, Status status) noexcept {
-  connections_shed_.fetch_add(1, std::memory_order_relaxed);
-  try {
-    const std::size_t slots = options_.max_connections != 0
-                                  ? options_.max_connections
-                                  : options_.worker_threads;
-    const ServeError e(
-        status, "admission",
-        status == Status::kOverloaded
-            ? "all " + std::to_string(slots) + " connection slot(s) busy and " +
-                  std::to_string(options_.max_pending) +
-                  " pending slot(s) full; retry with backoff"
-            : "server is draining; connection rejected");
-    write_frame(conn.get(), encode_error(e), kShedReplyTimeoutMs,
-                options_.max_frame_bytes);
-  } catch (...) {
-    // Best effort only: the peer may already be gone, and a shed path
-    // that can throw would defeat its purpose.
   }
 }
 

@@ -1,35 +1,19 @@
 // The bmf_served daemon core: registry + evaluator behind the protocol,
-// served by an epoll event loop.
+// served through the shared client front end (serve/frontend.hpp, DESIGN.md
+// §8), which owns the listeners, admission, pipelining, ordered replies,
+// deadlines and the graceful drain.
 //
-// Architecture (DESIGN.md §8): one event-loop thread owns every socket —
-// the listeners (UNIX and/or TCP, both speaking the same length-prefixed
-// framing), the non-blocking connection fds, and a wakeup eventfd — plus
-// per-connection read/write buffers. Requests are parsed incrementally
-// (FrameBuffer), so a client may pipeline many frames per connection;
-// replies are re-serialized in arrival order (OrderedReplies) and
-// consecutive replies coalesce into single writes. Deadlines come from
-// one DeadlineWheel instead of a poll() timeout per blocking call.
-//
-// The worker pool survives as the compute stage behind the loop: a
-// decoded frame is handed off (decode -> evaluate -> encode run on the
-// worker), its completion returns through the wakeup fd, and the loop
+// The worker pool is the compute stage behind the front end: a complete
+// request frame is handed off (decode -> evaluate -> encode run on the
+// worker), its completion returns through a wakeup eventfd, and the loop
 // flushes the reply. Requests on one connection execute one at a time, in
 // order — pipelining amortizes round-trips and syscalls, it never
 // reorders a connection's semantics. When exactly one connection has work
 // and no worker job is outstanding, the request runs inline on the loop
-// thread instead: the single-stream fast path, which keeps a lone
-// ping-pong client free of handoff latency.
-//
-// Admission control keeps the PR 5 semantics: up to max_connections
-// (default: worker_threads) connections are registered with the loop,
-// max_pending more wait parked (accepted, unread), and beyond that a
-// connection is shed with a structured kOverloaded reply. Stopping
-// drains gracefully: parked connections are shed kShuttingDown, idle
-// connections close, and every request already received runs to
-// completion with its reply flushed. A frame that cannot be decoded (or
-// an oversized length prefix) is a torn stream: the error reply is
-// delivered in order behind any earlier replies, then the connection
-// closes — bytes past a lost frame boundary cannot be trusted.
+// thread instead, decoded straight out of the read buffer: the
+// single-stream fast path, which keeps a lone ping-pong client free of
+// handoff latency. A frame that cannot be decoded is a torn stream: its
+// error reply is delivered in order, then the connection closes.
 #pragma once
 
 #include <atomic>
@@ -42,6 +26,7 @@
 
 #include "serve/batch_evaluator.hpp"
 #include "serve/error.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/wire.hpp"
@@ -98,9 +83,6 @@ class Server {
   /// ServeError if any listener cannot be set up.
   explicit Server(ServerOptions options);
 
-  /// Unlinks the UNIX socket path (if any).
-  ~Server();
-
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
@@ -123,7 +105,7 @@ class Server {
 
   /// The TCP endpoint actually bound (port resolved when tcp_address
   /// asked for port 0). endpoint.tcp is false when TCP is not configured.
-  Endpoint tcp_endpoint() const { return tcp_endpoint_; }
+  Endpoint tcp_endpoint() const { return frontend_->tcp_endpoint(); }
 
   /// Requests served since construction (for logs/tests; any thread).
   std::uint64_t requests_served() const { return requests_served_.load(); }
@@ -133,7 +115,9 @@ class Server {
 
   /// Connections rejected at admission (kOverloaded) or during the final
   /// drain (kShuttingDown) since construction.
-  std::uint64_t connections_shed() const { return connections_shed_.load(); }
+  std::uint64_t connections_shed() const {
+    return frontend_->connections_shed();
+  }
 
   /// Durability health: the kStoreInfo reply body (all-zero, enabled = 0,
   /// without --store). Thread-safe.
@@ -143,7 +127,7 @@ class Server {
   std::size_t models_recovered() const { return models_recovered_; }
 
  private:
-  friend class EventLoop;  // run()'s loop state, defined in server.cpp
+  friend class WorkerPool;  // run()'s compute stage, defined in server.cpp
 
   /// Outcome of executing one decoded request frame (compute stage; runs
   /// on a worker thread or inline on the loop).
@@ -159,10 +143,6 @@ class Server {
   /// registry and evaluator tolerate concurrent workers.
   ExecuteResult execute_request(const std::uint8_t* frame, std::size_t size);
 
-  /// Reject a connection with a best-effort structured error reply
-  /// (kOverloaded / kShuttingDown) and close it.
-  void shed(UniqueFd conn, Status status) noexcept;
-
   /// Compact the store once its WAL outgrows store_snapshot_bytes.
   /// Failure is logged, never propagated: the publish that tripped the
   /// threshold is already durable in the (still intact) WAL.
@@ -175,16 +155,15 @@ class Server {
   /// mutex serializes appends from concurrent workers.
   std::unique_ptr<store::ModelStore> store_;
   std::size_t models_recovered_ = 0;
-  UniqueFd unix_listen_;
-  UniqueFd tcp_listen_;
-  Endpoint tcp_endpoint_;
+  /// Listeners and client connections; bound in the constructor once the
+  /// store has been recovered (unlinks the UNIX path on destruction).
+  std::unique_ptr<Frontend> frontend_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> requests_served_{0};
-  std::atomic<std::uint64_t> connections_shed_{0};
   std::atomic<std::uint64_t> evals_served_{0};
   /// Requests handed to the worker pool whose completions the loop has not
   /// yet applied (inline fast-path executions never touch it). Mirrors the
-  /// loop's jobs_outstanding_ so kStats — which may run on a worker — can
+  /// pool's jobs_outstanding_ so kStats — which may run on a worker — can
   /// report queue depth without reaching into loop-thread state.
   std::atomic<std::uint64_t> queue_depth_{0};
   /// kStats uptime reference: when the listeners were bound.

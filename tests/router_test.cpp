@@ -13,7 +13,9 @@
 //     in-flight evaluate fails over to a replica or the client retries,
 //     and every batch comes back correct;
 //   * when every owner of a name is down the client sees a structured
-//     kUpstreamUnavailable verdict, not a hang or a torn connection.
+//     kUpstreamUnavailable verdict, not a hang or a torn connection;
+//   * client admission matches the daemon's: an overflow connection is
+//     shed with kOverloaded, a parked one with kShuttingDown on drain.
 //
 // The RouterChaos suite varies kill timing by BMF_CHAOS_SEED and runs
 // over TCP loopback when BMF_CHAOS_TRANSPORT=tcp (same matrix knobs as
@@ -186,12 +188,12 @@ class BackendFixture {
 class Cluster {
  public:
   Cluster(const std::string& tag, std::size_t backends, std::size_t replicas,
-          bool tcp = false, std::vector<std::string> store_dirs = {}) {
+          bool tcp = false, std::vector<std::string> store_dirs = {},
+          RouterOptions options = {}) {
     for (std::size_t i = 0; i < backends; ++i)
       backends_.push_back(std::make_unique<BackendFixture>(
           tag + "_" + std::to_string(i), tcp,
           i < store_dirs.size() ? store_dirs[i] : std::string()));
-    RouterOptions options;
     for (const auto& b : backends_) options.backends.push_back(b->spec());
     options.replicas = replicas;
     options.probe_interval_ms = 50;
@@ -219,6 +221,7 @@ class Cluster {
 
   const std::string& endpoint() const { return endpoint_; }
   const Router& router() const { return *router_; }
+  Router& router() { return *router_; }
   BackendFixture& backend(std::size_t i) { return *backends_[i]; }
   std::size_t size() const { return backends_.size(); }
 
@@ -532,6 +535,63 @@ TEST(RouterDurable, KilledShardRejoinsFromDiskWithoutRepublish) {
   backend->request_stop();
   revived_thread.join();
   std::remove(router_path.c_str());
+}
+
+// ---- client admission and drain -------------------------------------------
+
+/// Idle raw connection that holds an admission slot without speaking.
+serve::UniqueFd raw_connect(const std::string& endpoint) {
+  return serve::connect_endpoint(serve::parse_endpoint(endpoint), 2000);
+}
+
+/// One active slot and one parked slot, so a third connection overflows.
+RouterOptions strict_admission() {
+  RouterOptions options;
+  options.max_connections = 1;
+  options.max_pending = 1;
+  options.request_timeout_ms = 8000;
+  return options;
+}
+
+TEST(RouterAdmission, OverloadShedsWithStructuredReply) {
+  Cluster cluster("overload", 1, 1, chaos_tcp(), {}, strict_admission());
+  serve::UniqueFd hog = raw_connect(cluster.endpoint());  // the active slot
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  serve::UniqueFd parked = raw_connect(cluster.endpoint());  // pending slot
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  serve::RetryPolicy once;
+  once.max_attempts = 1;
+  Client client(cluster.endpoint(), 2000, serve::kDefaultMaxFrameBytes, once);
+  try {
+    client.ping();
+    FAIL() << "expected kOverloaded";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.status(), Status::kOverloaded);
+    EXPECT_EQ(e.context(), "admission");
+  }
+  EXPECT_EQ(cluster.router().connections_shed(), 1u);
+}
+
+TEST(RouterAdmission, QueuedConnectionIsShedWithShuttingDownOnDrain) {
+  Cluster cluster("drain_shed", 1, 1, chaos_tcp(), {}, strict_admission());
+  serve::UniqueFd hog = raw_connect(cluster.endpoint());  // the active slot
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  serve::UniqueFd queued = raw_connect(cluster.endpoint());  // waits parked
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  cluster.router().request_stop();
+  // The drain must reject the queued-but-unserved connection structurally.
+  const auto reply = serve::read_frame(queued.get(), 5000);
+  ASSERT_TRUE(reply.has_value());
+  try {
+    serve::expect_ok(*reply);
+    FAIL() << "expected kShuttingDown";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.status(), Status::kShuttingDown);
+    EXPECT_EQ(e.context(), "admission");
+  }
+  EXPECT_EQ(cluster.router().connections_shed(), 1u);
 }
 
 // ---- chaos (seeded, transport-swappable; see ci.sh) ------------------------

@@ -3,11 +3,14 @@
 //   * unit tests for the per-connection building blocks (FrameBuffer,
 //     OrderedReplies, DeadlineWheel) — byte-level frame reassembly,
 //     ordered reply coalescing, and deadline bookkeeping with no daemon;
-//   * end-to-end tests against a live Server: many frames coalesced into
+//   * end-to-end tests against a live daemon: many frames coalesced into
 //     one write come back as strictly ordered replies, a torn frame
 //     mid-pipeline closes the connection without corrupting the replies
-//     already owed, and Client::evaluate_pipeline matches sequential
-//     evaluate over both transports.
+//     already owed, and an idle or stalled connection gets one structured
+//     kTimeout verdict before it closes. These run against both daemons
+//     built on the shared client front end (a Server, and a Router over
+//     one Server shard); Client::evaluate_pipeline matching sequential
+//     evaluate over both transports runs against the Server.
 #include "serve/connection.hpp"
 
 #include <gtest/gtest.h>
@@ -19,10 +22,13 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "router/router.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -249,33 +255,93 @@ linalg::Matrix make_points(std::size_t rows, std::size_t cols,
   return p;
 }
 
-/// Server on a background thread; joins on destruction (after stop).
-class ServerFixture {
+/// The daemons that share the client-connection front end: a Server on its
+/// own, or a Router in front of one Server shard.
+enum class Daemon { kServer, kRouter };
+
+const char* daemon_name(Daemon daemon) {
+  return daemon == Daemon::kServer ? "Server" : "Router";
+}
+
+void PrintTo(Daemon daemon, std::ostream* os) { *os << daemon_name(daemon); }
+
+/// A daemon on a background thread; stops and joins on destruction. For
+/// kRouter the client-plane options (frame bound, request timeout) go to
+/// the router and its one backend runs with defaults, so the backend link
+/// never trips the client-side limits under test.
+class DaemonFixture {
  public:
-  explicit ServerFixture(const char* tag, ServerOptions options = {}) {
-    path_ = ::testing::TempDir() + "/bmf_pipe_" + tag + "_" +
-            std::to_string(::getpid()) + ".sock";
-    options.socket_path = path_;
-    server_ = std::make_unique<Server>(std::move(options));
-    thread_ = std::thread([this] { server_->run(); });
+  DaemonFixture(Daemon daemon, const char* tag, ServerOptions options = {}) {
+    const std::string stem = ::testing::TempDir() + "/bmf_pipe_" + tag + "_" +
+                             std::to_string(::getpid());
+    if (daemon == Daemon::kServer) {
+      path_ = stem + ".sock";
+      options.socket_path = path_;
+      server_ = std::make_unique<Server>(std::move(options));
+    } else {
+      ServerOptions backend;
+      backend.socket_path = stem + "_shard.sock";
+      server_ = std::make_unique<Server>(std::move(backend));
+      router::RouterOptions routed;
+      path_ = stem + "_router.sock";
+      routed.socket_path = path_;
+      routed.backends = {"unix:" + server_->options().socket_path};
+      routed.max_frame_bytes = options.max_frame_bytes;
+      routed.request_timeout_ms = options.request_timeout_ms;
+      router_ = std::make_unique<router::Router>(std::move(routed));
+      router_thread_ = std::thread([this] { router_->run(); });
+    }
+    server_thread_ = std::thread([this] { server_->run(); });
   }
 
-  ~ServerFixture() {
+  ~DaemonFixture() {
+    if (router_) {
+      router_->request_stop();
+      router_thread_.join();
+    }
     server_->request_stop();
-    thread_.join();
-    std::remove(path_.c_str());
+    server_thread_.join();
   }
 
+  /// Where clients connect: the server, or the router in front of it.
   const std::string& path() const { return path_; }
   Server& server() { return *server_; }
 
  private:
   std::string path_;
   std::unique_ptr<Server> server_;
-  std::thread thread_;
+  std::unique_ptr<router::Router> router_;
+  std::thread server_thread_;
+  std::thread router_thread_;
 };
 
-TEST(ServePipeline, ManyFramesInOneWriteComeBackStrictlyOrdered) {
+/// Server on a background thread; joins on destruction (after stop).
+class ServerFixture : public DaemonFixture {
+ public:
+  explicit ServerFixture(const char* tag, ServerOptions options = {})
+      : DaemonFixture(Daemon::kServer, tag, std::move(options)) {}
+};
+
+/// Client-plane scenarios that must hold for every daemon built on the
+/// shared front end. Inside a TEST_P body `ServerFixture` names the nested
+/// fixture below, which starts the parameter's daemon, so each scenario
+/// body reads the same whichever daemon it drives.
+class ServePipeline : public ::testing::TestWithParam<Daemon> {
+ protected:
+  class ServerFixture : public DaemonFixture {
+   public:
+    explicit ServerFixture(const char* tag, ServerOptions options = {})
+        : DaemonFixture(GetParam(), tag, std::move(options)) {}
+  };
+};
+
+INSTANTIATE_TEST_SUITE_P(Daemons, ServePipeline,
+                         ::testing::Values(Daemon::kServer, Daemon::kRouter),
+                         [](const ::testing::TestParamInfo<Daemon>& param) {
+                           return std::string(daemon_name(param.param));
+                         });
+
+TEST_P(ServePipeline, ManyFramesInOneWriteComeBackStrictlyOrdered) {
   ServerFixture fixture("ordered");
   Client publisher(fixture.path());
   const FittedModel model = make_model(3, 11);
@@ -306,7 +372,7 @@ TEST(ServePipeline, ManyFramesInOneWriteComeBackStrictlyOrdered) {
   }
 }
 
-TEST(ServePipeline, TornFrameMidPipelinePreservesEarlierReplies) {
+TEST_P(ServePipeline, TornFrameMidPipelinePreservesEarlierReplies) {
   ServerOptions options;
   options.max_frame_bytes = 4096;  // small bound so a prefix can exceed it
   ServerFixture fixture("torn", options);
@@ -340,7 +406,7 @@ TEST(ServePipeline, TornFrameMidPipelinePreservesEarlierReplies) {
   EXPECT_FALSE(read_frame(fd.get(), 5000).has_value());  // clean close
 }
 
-TEST(ServePipeline, EofMidFrameAnswersEarlierRequestsThenTears) {
+TEST_P(ServePipeline, EofMidFrameAnswersEarlierRequestsThenTears) {
   ServerFixture fixture("eof");
   std::vector<std::uint8_t> wire;
   const auto ping = encode_request(PingRequest{});
@@ -364,6 +430,52 @@ TEST(ServePipeline, EofMidFrameAnswersEarlierRequestsThenTears) {
   } catch (const ServeError& e) {
     EXPECT_EQ(e.status(), Status::kBadRequest);
   }
+  EXPECT_FALSE(read_frame(fd.get(), 5000).has_value());
+}
+
+/// Reads the next reply and returns the structured error it carries.
+ServeError expect_error_reply(int fd) {
+  const auto reply = read_frame(fd, 5000);
+  if (!reply) throw std::runtime_error("connection closed before the reply");
+  try {
+    expect_ok(*reply);
+  } catch (const ServeError& e) {
+    return e;
+  }
+  throw std::runtime_error("expected an error reply, got ok");
+}
+
+TEST_P(ServePipeline, IdleConnectionTimesOutThenCloses) {
+  ServerOptions options;
+  options.request_timeout_ms = 200;
+  ServerFixture fixture("idle", options);
+
+  UniqueFd fd = connect_endpoint(parse_endpoint(fixture.path()), 2000);
+  const ServeError e = expect_error_reply(fd.get());
+  EXPECT_EQ(e.status(), Status::kTimeout);
+  EXPECT_EQ(e.context(), "serve_connection");
+  EXPECT_NE(e.message().find("no request arrived within 200 ms"),
+            std::string::npos)
+      << e.message();
+  EXPECT_FALSE(read_frame(fd.get(), 5000).has_value());
+}
+
+TEST_P(ServePipeline, FrameStalledMidTransferTimesOutThenCloses) {
+  ServerOptions options;
+  options.request_timeout_ms = 200;
+  ServerFixture fixture("stall", options);
+
+  // A prefix announcing eight payload bytes, then only three of them.
+  const auto partial = framed(bytes({1, 2, 3, 4, 5, 6, 7, 8}));
+  UniqueFd fd = connect_endpoint(parse_endpoint(fixture.path()), 2000);
+  write_bytes(fd.get(), partial.data(), kFramePrefixBytes + 3, 2000);
+
+  const ServeError e = expect_error_reply(fd.get());
+  EXPECT_EQ(e.status(), Status::kTimeout);
+  EXPECT_EQ(e.context(), "serve_connection");
+  EXPECT_NE(e.message().find("request frame stalled mid-transfer for 200 ms"),
+            std::string::npos)
+      << e.message();
   EXPECT_FALSE(read_frame(fd.get(), 5000).has_value());
 }
 
