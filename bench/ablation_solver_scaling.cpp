@@ -9,9 +9,7 @@
 
 #include "bmf/cross_validation.hpp"
 #include "bmf/map_solver.hpp"
-#include "linalg/blas.hpp"
 #include "bmf/solver_workspace.hpp"
-#include "linalg/smw.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -147,24 +145,6 @@ void BM_MapTauSweepWorkspace(benchmark::State& state) {
   state.SetComplexityN(static_cast<benchmark::IterationCount>(m));
 }
 
-void BM_WoodburyRescaleSolve(benchmark::State& state) {
-  // WoodburySolver diagonal-rescale path: refactorize the K x K
-  // capacitance (O(K^3)) without rebuilding the O(K^2 M) kernel.
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  Problem p = make_problem(100, m);
-  linalg::Vector diag = p.prior.precision_scale();
-  linalg::Vector b = linalg::gemv_t(p.g, p.f);
-  linalg::WoodburySolver solver(p.g, diag, 1.0);
-  const linalg::Vector taus = core::log_grid(1e-2, 1e2, kSweepTaus);
-  std::size_t t = 0;
-  for (auto _ : state) {
-    solver.rescale_diag(taus[t]);
-    benchmark::DoNotOptimize(solver.solve(b));
-    t = (t + 1) % taus.size();
-  }
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(m));
-}
-
 BENCHMARK(BM_MapWorkspaceBuild)
     ->Arg(250)
     ->Arg(1000)
@@ -184,12 +164,6 @@ BENCHMARK(BM_MapTauSweepFresh)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
 BENCHMARK(BM_MapTauSweepWorkspace)
-    ->Arg(250)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Unit(benchmark::kMillisecond)
-    ->Complexity();
-BENCHMARK(BM_WoodburyRescaleSolve)
     ->Arg(250)
     ->Arg(1000)
     ->Arg(4000)

@@ -40,6 +40,12 @@
 #      admission, deadline and drain behaviour drifted apart before.
 #      Outbound sockets (the router's connect_endpoint to its backends)
 #      are not covered.
+#  11. No outer_gram_weighted( or eigen_symmetric( call in src/bmf outside
+#      src/bmf/solver_workspace.cpp — the MAP kernel B = G D^{-1} G^T is
+#      built once per design matrix (map_kernel) and eigendecomposed through
+#      one PSD clamp (psd_eigen); the CV folds slice it.  The CV engine's
+#      private copy of the kernel is how the fold clamp and the final
+#      solve's clamp drifted apart before.
 #
 # Usage: lint.sh   (run from anywhere; exits non-zero on any violation)
 set -eu
@@ -173,6 +179,20 @@ for f in $all_sources; do
     '(^|[^A-Za-z0-9_])(accept_pending|listen_unix|listen_tcp)[[:space:]]*\(' \
     || true)
   [ -n "$hits" ] && fail "client listener/accept outside src/serve/frontend.cpp in $f" "$hits"
+done
+
+# Rule 11: one MAP kernel.  Only the file that owns B builds or
+# eigendecomposes it; the CV folds and the final solve read it.
+for f in $all_sources; do
+  case "$f" in
+    "$src_dir/src/bmf/solver_workspace.cpp") continue ;;
+    "$src_dir/src/bmf/"*) ;;
+    *) continue ;;
+  esac
+  hits=$(strip_comments "$f" | grep -nE \
+    '(^|[^A-Za-z0-9_])(outer_gram_weighted|eigen_symmetric)[[:space:]]*\(' \
+    || true)
+  [ -n "$hits" ] && fail "MAP kernel built outside src/bmf/solver_workspace.cpp in $f" "$hits"
 done
 
 if [ "$status" -ne 0 ]; then

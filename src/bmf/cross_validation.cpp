@@ -43,46 +43,44 @@ double tau_grid_center(const linalg::Vector& f) {
 
 namespace {
 
-// y += w * G.row(row) over all M columns.
-void accumulate_row(const linalg::Matrix& g, std::size_t row, double w,
-                    linalg::Vector& y) {
-  const double* gr = g.row_ptr(row);
-  for (std::size_t p = 0; p < y.size(); ++p) y[p] += w * gr[p];
+// The submatrix B[rows, cols] of the full-data kernel.
+linalg::Matrix slice(const linalg::Matrix& b,
+                     const std::vector<std::size_t>& rows,
+                     const std::vector<std::size_t>& cols) {
+  linalg::Matrix out(rows.size(), cols.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double* bi = b.row_ptr(rows[i]);
+    double* oi = out.row_ptr(i);
+    for (std::size_t j = 0; j < cols.size(); ++j) oi[j] = bi[cols[j]];
+  }
+  return out;
 }
 
-// <G.row(a), v>.
-double row_dot(const linalg::Matrix& g, std::size_t a,
-               const linalg::Vector& v) {
-  const double* ga = g.row_ptr(a);
-  double acc = 0.0;
-  for (std::size_t p = 0; p < v.size(); ++p) acc += ga[p] * v[p];
-  return acc;
+linalg::Vector gather(const linalg::Vector& v,
+                      const std::vector<std::size_t>& idx) {
+  linalg::Vector out(idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) out[i] = v[idx[i]];
+  return out;
 }
 
 }  // namespace
 
 CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
-                   const CoefficientPrior& prior, const CvOptions& options)
-    : g_(&g), f_(&f) {
+                   const linalg::Matrix& kernel, const CvOptions& options)
+    : g_(&g) {
   LINALG_REQUIRE(g.rows() == f.size(), "CvEngine: rhs size mismatch");
-  LINALG_REQUIRE(g.cols() == prior.size(), "CvEngine: prior size mismatch");
-  const std::size_t k = g.rows(), m = g.cols();
+  const std::size_t k = g.rows();
+  LINALG_REQUIRE(kernel.rows() == k && kernel.cols() == k,
+                 "CvEngine: kernel must be K x K");
   if (options.folds < 2 || k < options.folds)
     throw std::invalid_argument("CvEngine: need folds >= 2 and K >= folds");
   BMF_EXPECTS_DIMS(check::all_finite(g) && check::all_finite(f),
                    "CvEngine: design matrix and responses must be finite",
-                   {"g.rows", k}, {"g.cols", m});
-  BMF_EXPECTS_DIMS(check::all_positive(prior.precision_scale()),
-                   "CvEngine: prior variances must be positive and finite",
-                   {"prior.size", prior.size()});
+                   {"g.rows", k}, {"g.cols", g.cols()});
   BMF_EXPECTS(check::is_finite(options.grid_lo_rel) &&
                   check::is_finite(options.grid_hi_rel) &&
                   options.grid_lo_rel > 0.0 && options.grid_hi_rel > 0.0,
               "CvEngine: tau grid bounds must be positive and finite");
-
-  inv_q_.resize(m);
-  for (std::size_t p = 0; p < m; ++p)
-    inv_q_[p] = 1.0 / prior.precision_scale()[p];
 
   const double center = tau_grid_center(f);
   taus_ = log_grid(center * options.grid_lo_rel, center * options.grid_hi_rel,
@@ -91,64 +89,35 @@ CvEngine::CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
   stats::Rng rng(options.seed);
   stats::KFold kfold(k, options.folds, rng);
   folds_.resize(options.folds);
-  // Folds are independent: each builds its own B, eigendecomposition and
-  // test-side projections into a preassigned folds_ slot.
+  // Folds are independent: each slices its own kernel, eigendecomposition
+  // and test-side projections into a preassigned folds_ slot.
   parallel::parallel_for(0, options.folds, 1, [&](std::size_t f0,
                                                   std::size_t f1) {
-    for (std::size_t fi = f0; fi < f1; ++fi) build_fold(kfold, fi);
+    for (std::size_t fi = f0; fi < f1; ++fi) build_fold(f, kernel, kfold, fi);
   });
 }
 
-void CvEngine::build_fold(const stats::KFold& kfold, std::size_t fi) {
-  const linalg::Matrix& g = *g_;
-  const linalg::Vector& f = *f_;
-  const std::size_t m = g.cols();
+void CvEngine::build_fold(const linalg::Vector& f,
+                          const linalg::Matrix& kernel,
+                          const stats::KFold& kfold, std::size_t fi) {
   Fold& fold = folds_[fi];
   auto split = kfold.split(fi);
   fold.train = std::move(split.train);
   fold.test = std::move(split.test);
-  const std::size_t kt = fold.train.size(), ke = fold.test.size();
+  fold.f_test = gather(f, fold.test);
+  const linalg::Vector f_tr = gather(f, fold.train);
 
-  fold.f_test.resize(ke);
-  for (std::size_t i = 0; i < ke; ++i) fold.f_test[i] = f[fold.test[i]];
-
-  // g_t = G_tr^T f_tr.
-  fold.gt_f.assign(m, 0.0);
-  for (std::size_t i = 0; i < kt; ++i)
-    accumulate_row(g, fold.train[i], f[fold.train[i]], fold.gt_f);
-
-  // B = G_tr diag(1/q) G_tr^T, built one scaled row at a time.
-  linalg::Matrix b(kt, kt);
-  linalg::Vector scaled(m);
-  for (std::size_t i = 0; i < kt; ++i) {
-    const double* gi = g.row_ptr(fold.train[i]);
-    for (std::size_t p = 0; p < m; ++p) scaled[p] = gi[p] * inv_q_[p];
-    for (std::size_t j = i; j < kt; ++j) {
-      const double v = row_dot(g, fold.train[j], scaled);
-      b(i, j) = v;
-      b(j, i) = v;
-    }
+  {
+    // Fold kernel B_tr = B[train, train]; vb2 = V^T (B_tr f_tr).
+    const linalg::Matrix b_tr = slice(kernel, fold.train, fold.train);
+    const linalg::Vector b2 = linalg::gemv(b_tr, f_tr);
+    fold.eig = psd_eigen(b_tr);
+    fold.vb2 = linalg::gemv_t(fold.eig.vectors, b2);
   }
 
-  // b2 = B f_tr, then rotate into the eigenbasis.
-  linalg::Vector f_tr(kt);
-  for (std::size_t i = 0; i < kt; ++i) f_tr[i] = f[fold.train[i]];
-  linalg::Vector b2 = linalg::gemv(b, f_tr);
-
-  fold.eig = linalg::eigen_symmetric(b);
-  for (double& w : fold.eig.values) w = std::max(w, 0.0);  // PSD clamp
-  fold.vb2 = linalg::gemv_t(fold.eig.vectors, b2);
-
-  // a2 = G_te diag(1/q) g_t and C = G_te diag(1/q) G_tr^T.
-  fold.a2.resize(ke);
-  linalg::Matrix c(ke, kt);
-  for (std::size_t i = 0; i < ke; ++i) {
-    const double* gi = g.row_ptr(fold.test[i]);
-    for (std::size_t p = 0; p < m; ++p) scaled[p] = gi[p] * inv_q_[p];
-    fold.a2[i] = linalg::dot(scaled, fold.gt_f);
-    for (std::size_t j = 0; j < kt; ++j)
-      c(i, j) = row_dot(g, fold.train[j], scaled);
-  }
+  // Cross term C = B[test, train]: a2 = C f_tr and c_hat = C V.
+  const linalg::Matrix c = slice(kernel, fold.test, fold.train);
+  fold.a2 = linalg::gemv(c, f_tr);
   fold.c_hat = linalg::gemm(c, fold.eig.vectors);
 }
 
@@ -157,34 +126,21 @@ CvCurve CvEngine::evaluate(const linalg::Vector& mu) const {
   BMF_EXPECTS_DIMS(check::all_finite(mu),
                    "CvEngine::evaluate: prior mean must be finite",
                    {"mu.size", mu.size()});
-  bool mu_zero = true;
-  for (double v : mu)
-    if (v != 0.0) {
-      mu_zero = false;
-      break;
-    }
-
   CvCurve curve;
   curve.taus.assign(taus_.begin(), taus_.end());
   const std::size_t nf = folds_.size(), nt = taus_.size();
   curve.errors.assign(nt, 0.0);
 
-  // Per-fold projections of the prior mean: vb1 = V^T (G_tr mu), a1 = G_te
-  // mu. Independent across folds.
+  // Per-fold projections of the prior mean: with G mu computed once,
+  // vb1 = V^T (G mu)[train] and a1 = (G mu)[test]. Independent across folds.
+  // (The zero-mean prior needs no special case: both come out exactly 0.)
+  const linalg::Vector g_mu = linalg::gemv(*g_, mu);
   std::vector<linalg::Vector> vb1(nf), a1(nf);
   parallel::parallel_for(0, nf, 1, [&](std::size_t f0, std::size_t f1) {
     for (std::size_t fi = f0; fi < f1; ++fi) {
       const Fold& fold = folds_[fi];
-      const std::size_t kt = fold.train.size(), ke = fold.test.size();
-      vb1[fi].assign(kt, 0.0);
-      a1[fi].assign(ke, 0.0);
-      if (mu_zero) continue;
-      linalg::Vector b1(kt);
-      for (std::size_t i = 0; i < kt; ++i)
-        b1[i] = row_dot(*g_, fold.train[i], mu);
-      vb1[fi] = linalg::gemv_t(fold.eig.vectors, b1);
-      for (std::size_t i = 0; i < ke; ++i)
-        a1[fi][i] = row_dot(*g_, fold.test[i], mu);
+      a1[fi] = gather(g_mu, fold.test);
+      vb1[fi] = linalg::gemv_t(fold.eig.vectors, gather(g_mu, fold.train));
     }
   });
 

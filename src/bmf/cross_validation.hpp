@@ -3,21 +3,22 @@
 //
 // Naively, scanning an N_tau-point hyper-parameter grid with N folds costs
 // N * N_tau Woodbury solves, each O(K^2 M + K^3). This engine exploits the
-// structure of the problem: the fold's K x K capacitance matrix is
-// I + tau^{-1} B with B = G_train diag(1/(tau q)) ... more precisely
-// B = G_train diag(1/q) G_train^T *independent of tau*, and B is also
-// *identical for the zero-mean and nonzero-mean priors* (both use
-// q_m = 1/alpha_E,m^2, Section III-A). So per fold we build B once,
-// eigendecompose it once, and every (prior, tau) grid point afterwards
-// costs only O(K_train * (K_train + K_test)).
+// structure of the problem: fold n's K_tr x K_tr capacitance matrix is
+// I + B_n / tau, where B_n = G_tr diag(1/q) G_tr^T is *independent of tau*
+// and *identical for the zero-mean and nonzero-mean priors* (both use
+// q_m = 1/alpha_E,m^2, Section III-A). B_n is also a slice of the full-data
+// kernel B = G diag(1/q) G^T that the final MAP solve uses
+// (bmf/solver_workspace.hpp): B_n = B[train, train], and the cross term to
+// the held-out rows is C_n = B[test, train]. So the engine takes B, built
+// once per design matrix by map_kernel(), eigendecomposes each B_n once,
+// and every (prior, tau) grid point afterwards costs only
+// O(K_train * (K_train + K_test)).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "bmf/prior.hpp"
-#include "linalg/eigen_sym.hpp"
+#include "bmf/solver_workspace.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/kfold.hpp"
 
@@ -52,16 +53,16 @@ struct CvCurve {
 /// Per-fold cached quantities shared by every grid point.
 class CvEngine {
  public:
-  /// `g` (K x M) and `f` (K) are the late-stage training data; `prior`
-  /// supplies the precision scale q and the informative mask, which are
-  /// identical for the zero-mean and nonzero-mean priors — so one engine
-  /// serves both. `g` and `f` must outlive the engine.
+  /// `g` (K x M) and `f` (K) are the late-stage training data; `kernel`
+  /// is map_kernel(g, prior). The kernel depends on the prior only through
+  /// the precision scale q, which the zero-mean and nonzero-mean priors
+  /// share — so one engine serves both. `g` must outlive the engine; `f`
+  /// and `kernel` are only read during construction.
   CvEngine(const linalg::Matrix& g, const linalg::Vector& f,
-           const CoefficientPrior& prior, const CvOptions& options);
+           const linalg::Matrix& kernel, const CvOptions& options);
 
   /// Evaluate the CV error over the tau grid for a prior with mean `mu`
-  /// (pass an all-zero vector for the zero-mean prior — detected and
-  /// short-circuited).
+  /// (an all-zero vector for the zero-mean prior).
   CvCurve evaluate(const linalg::Vector& mu) const;
 
   const linalg::Vector& tau_grid() const { return taus_; }
@@ -71,21 +72,19 @@ class CvEngine {
   struct Fold {
     std::vector<std::size_t> train;
     std::vector<std::size_t> test;
-    linalg::SymmetricEigen eig;   // of B = G_tr diag(1/q) G_tr^T
+    PsdEigen eig;                 // of B_tr = B[train, train]
     linalg::Vector f_test;        // held-out responses
-    linalg::Vector gt_f;          // G_tr^T f_tr  (size M)
-    linalg::Vector vb2;           // V^T (B f_tr)  (size K_tr)
-    linalg::Vector a2;            // G_te diag(1/q) gt_f (size K_te)
-    linalg::Matrix c_hat;         // (G_te diag(1/q) G_tr^T) V (K_te x K_tr)
+    linalg::Vector vb2;           // V^T (B_tr f_tr)  (size K_tr)
+    linalg::Vector a2;            // C f_tr, C = B[test, train] (size K_te)
+    linalg::Matrix c_hat;         // C V (K_te x K_tr)
   };
 
   /// Build the cached quantities of fold `fi` into folds_[fi]. Called from
   /// a parallel loop in the constructor — folds are fully independent.
-  void build_fold(const stats::KFold& kfold, std::size_t fi);
+  void build_fold(const linalg::Vector& f, const linalg::Matrix& kernel,
+                  const stats::KFold& kfold, std::size_t fi);
 
   const linalg::Matrix* g_;
-  const linalg::Vector* f_;
-  linalg::Vector inv_q_;  // 1/q, size M
   linalg::Vector taus_;
   std::vector<Fold> folds_;
 };

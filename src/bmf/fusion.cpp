@@ -76,6 +76,7 @@ void BmfFitter::set_design(linalg::Matrix g, linalg::Vector f) {
   g_ = std::move(g);
   f_ = std::move(f);
   has_data_ = true;
+  kernel_.reset();
   engine_.reset();
   zm_curve_.reset();
   nzm_curve_.reset();
@@ -88,10 +89,17 @@ void BmfFitter::require_data() const {
     throw std::logic_error("BmfFitter: call set_data/set_design first");
 }
 
+const linalg::Matrix& BmfFitter::kernel() const {
+  // The ZM and NZM priors share the precision scale q, so one kernel serves
+  // both.
+  if (!kernel_) kernel_ = map_kernel(g_, zm_prior_);
+  return *kernel_;
+}
+
 CvEngine& BmfFitter::engine() {
   require_data();
   if (!engine_)
-    engine_ = std::make_unique<CvEngine>(g_, f_, zm_prior_, options_.cv);
+    engine_ = std::make_unique<CvEngine>(g_, f_, kernel(), options_.cv);
   return *engine_;
 }
 
@@ -105,16 +113,12 @@ const CvCurve& BmfFitter::nonzero_mean_curve() {
   return *nzm_curve_;
 }
 
-const CoefficientPrior& BmfFitter::prior_for(PriorKind kind) const {
-  return kind == PriorKind::kZeroMean ? zm_prior_ : nzm_prior_;
-}
-
 const MapSolverWorkspace& BmfFitter::workspace() const {
   if (!workspace_) {
-    // The ZM and NZM priors share the precision scale q, so the workspace is
-    // built from the ZM prior (mean zero) and the NZM mean is projected once
-    // and cached alongside.
-    workspace_ = std::make_unique<MapSolverWorkspace>(g_, f_, zm_prior_);
+    // The workspace is built from the ZM prior (mean zero) and the NZM mean
+    // is projected once and cached alongside.
+    workspace_ =
+        std::make_unique<MapSolverWorkspace>(g_, f_, zm_prior_, kernel());
     nzm_mean_ = workspace_->project_mean(nzm_prior_.mean());
   }
   return *workspace_;
@@ -124,12 +128,9 @@ basis::PerformanceModel BmfFitter::fit_at(PriorKind kind, double tau) const {
   require_data();
   BMF_EXPECTS(tau > 0.0 && check::is_finite(tau),
               "BmfFitter::fit_at: tau must be positive and finite");
-  if (options_.solver == SolverKind::kDirect)
-    return basis::PerformanceModel(
-        late_basis_, map_solve_direct(g_, f_, prior_for(kind), tau));
-  // Fast solver: amortize the tau-independent kernel across every query on
-  // this design matrix (tau sweeps, BMF-PS trying both priors, the final
-  // fit) — each solve is O(K^2 + K M) after the first.
+  // Amortize the tau-independent kernel across every query on this design
+  // matrix (tau sweeps, BMF-PS trying both priors, the final fit) — each
+  // solve is O(K^2 + K M) after the first.
   const MapSolverWorkspace& ws = workspace();
   return basis::PerformanceModel(late_basis_,
                                  kind == PriorKind::kZeroMean

@@ -9,15 +9,15 @@
 //      cross-validation over a log grid (Section IV-D),
 //   3. optionally picks the better of the two priors by the same CV error
 //      (the BMF-PS variant of Section V),
-//   4. solves the MAP estimate with the fast Woodbury solver (Section IV-C)
-//      or the direct Cholesky solver.
+//   4. solves the MAP estimate in the eigenbasis of the tau-independent
+//      kernel (the fast solver of Section IV-C).
 //
-// The CV engine — the expensive part — is built lazily and shared between
-// the two priors. When the fast solver is selected (the default), the MAP
-// solves likewise share one lazily-built MapSolverWorkspace: the ZM and NZM
-// priors use the same precision scale q, so one tau-independent kernel
-// serves every fit_at(kind, tau) query and the final fit at O(K^2 + K M)
-// per solve.
+// The ZM and NZM priors use the same precision scale q, so one kernel
+// B = G diag(1/q) G^T (bmf/solver_workspace.hpp) serves both, and the
+// fitter builds it once per design matrix. The CV engine — the expensive
+// part — slices its folds out of B; the MapSolverWorkspace behind every
+// fit_at(kind, tau) query and the final fit eigendecomposes the same B and
+// answers each solve at O(K^2 + K M). All three are built lazily.
 #pragma once
 
 #include <memory>
@@ -25,9 +25,9 @@
 
 #include "basis/model.hpp"
 #include "bmf/cross_validation.hpp"
-#include "bmf/map_solver.hpp"
 #include "bmf/prior.hpp"
 #include "bmf/prior_mapping.hpp"
+#include "bmf/solver_workspace.hpp"
 
 namespace bmf::core {
 
@@ -39,7 +39,6 @@ const char* to_string(PriorSelection sel);
 struct FusionOptions {
   PriorOptions prior;
   CvOptions cv;
-  SolverKind solver = SolverKind::kFast;
 };
 
 struct FusionReport {
@@ -88,8 +87,10 @@ class BmfFitter {
   const FusionOptions& options() const { return options_; }
 
  private:
-  const CoefficientPrior& prior_for(PriorKind kind) const;
   void require_data() const;
+  /// Lazily-built kernel B = G D^{-1} G^T of g_; read by the CV engine
+  /// and the workspace.
+  const linalg::Matrix& kernel() const;
   CvEngine& engine();
   /// Lazily-built amortized solver over (g_, f_, q); shared by both priors.
   const MapSolverWorkspace& workspace() const;
@@ -104,8 +105,9 @@ class BmfFitter {
   std::unique_ptr<CvEngine> engine_;
   std::optional<CvCurve> zm_curve_;
   std::optional<CvCurve> nzm_curve_;
-  // Amortized MAP solver state, built on first fit_at with the fast solver
-  // (mutable: fit_at is logically const — the cache only changes cost).
+  // Kernel and amortized MAP solver state, built on first use (mutable:
+  // fit_at is logically const — the caches only change cost).
+  mutable std::optional<linalg::Matrix> kernel_;
   mutable std::unique_ptr<MapSolverWorkspace> workspace_;
   mutable std::optional<MapSolverWorkspace::ProjectedMean> nzm_mean_;
 };

@@ -9,10 +9,6 @@
 
 namespace bmf::core {
 
-const char* to_string(SolverKind kind) {
-  return kind == SolverKind::kDirect ? "direct-cholesky" : "fast-woodbury";
-}
-
 namespace {
 
 void validate(const linalg::Matrix& g, const linalg::Vector& f,
@@ -73,13 +69,6 @@ linalg::Vector map_solve_fast(const linalg::Matrix& g,
   return x;
 }
 
-linalg::Vector map_solve(const linalg::Matrix& g, const linalg::Vector& f,
-                         const CoefficientPrior& prior, double tau,
-                         SolverKind kind) {
-  return kind == SolverKind::kDirect ? map_solve_direct(g, f, prior, tau)
-                                     : map_solve_fast(g, f, prior, tau);
-}
-
 RobustMapResult map_solve_robust(const linalg::Matrix& g,
                                  const linalg::Vector& f,
                                  const CoefficientPrior& prior, double tau) {
@@ -94,43 +83,6 @@ RobustMapResult map_solve_robust(const linalg::Matrix& g,
                    "map_solve_robust produced non-finite coefficients",
                    {"m", result.coefficients.size()});
   return result;
-}
-
-std::vector<linalg::Vector> map_solve_tau_grid(const linalg::Matrix& g,
-                                               const linalg::Vector& f,
-                                               const CoefficientPrior& prior,
-                                               const linalg::Vector& taus) {
-  for (double tau : taus) validate(g, f, prior, tau);
-  MapSolverWorkspace workspace(g, f, prior);
-  std::vector<linalg::Vector> out;
-  out.reserve(taus.size());
-  for (double tau : taus) out.push_back(workspace.solve(tau));
-  return out;
-}
-
-MapPosterior map_posterior(const linalg::Matrix& g, const linalg::Vector& f,
-                           const CoefficientPrior& prior, double tau,
-                           double sigma0_sq) {
-  validate(g, f, prior, tau);
-  if (sigma0_sq <= 0.0)
-    throw std::invalid_argument("map_posterior: sigma0_sq must be positive");
-  linalg::Matrix a = linalg::gram(g);
-  const linalg::Vector& q = prior.precision_scale();
-  for (std::size_t m = 0; m < a.rows(); ++m) a(m, m) += tau * q[m];
-  linalg::Cholesky chol(a);
-  MapPosterior post;
-  post.mean = chol.solve(build_rhs(g, f, prior, tau));
-  // Sigma_L = sigma_0^2 (G^T G + tau D)^{-1}  (Eq. 28 rescaled by tau),
-  // via the explicit triangular inverse L^{-T} L^{-1} rather than M dense
-  // solves against identity columns.
-  post.covariance = chol.inverse();
-  post.covariance *= sigma0_sq;
-  BMF_ENSURES_DIMS(check::all_finite(post.mean) &&
-                       check::is_symmetric(post.covariance),
-                   "map_posterior must return a finite mean and a symmetric "
-                   "covariance",
-                   {"m", post.mean.size()});
-  return post;
 }
 
 }  // namespace bmf::core

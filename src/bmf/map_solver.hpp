@@ -14,22 +14,14 @@
 // For repeated solves on the same (G, f, prior) — hyper-parameter sweeps,
 // BMF-PS evaluating both priors — use MapSolverWorkspace
 // (bmf/solver_workspace.hpp), which pays the factorization once and then
-// solves each tau in O(K^2 + K M); map_solve_tau_grid below is the
-// convenience wrapper.
+// solves each tau in O(K^2 + K M).
 #pragma once
 
-#include <vector>
-
 #include "bmf/prior.hpp"
-#include "bmf/solver_workspace.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 
 namespace bmf::core {
-
-enum class SolverKind { kDirect, kFast };
-
-const char* to_string(SolverKind kind);
 
 /// MAP coefficients via the dense M x M route (Eq. 28-35).
 /// tau is sigma_0^2 for the zero-mean prior and eta for the nonzero-mean
@@ -42,11 +34,6 @@ linalg::Vector map_solve_direct(const linalg::Matrix& g,
 linalg::Vector map_solve_fast(const linalg::Matrix& g,
                               const linalg::Vector& f,
                               const CoefficientPrior& prior, double tau);
-
-/// Dispatch on `kind`.
-linalg::Vector map_solve(const linalg::Matrix& g, const linalg::Vector& f,
-                         const CoefficientPrior& prior, double tau,
-                         SolverKind kind);
 
 /// A MAP solve that degrades instead of throwing when the posterior
 /// precision is numerically indefinite (near-duplicate sampling points,
@@ -65,28 +52,5 @@ struct RobustMapResult {
 RobustMapResult map_solve_robust(const linalg::Matrix& g,
                                  const linalg::Vector& f,
                                  const CoefficientPrior& prior, double tau);
-
-/// MAP coefficients for every tau in `taus`, amortizing the tau-independent
-/// kernel across the grid via MapSolverWorkspace: one O(K^2 M + K^3) build,
-/// then O(K^2 + K M) per grid point — instead of a full fresh solve each.
-/// Results match per-tau map_solve_fast to solver tolerance.
-std::vector<linalg::Vector> map_solve_tau_grid(const linalg::Matrix& g,
-                                               const linalg::Vector& f,
-                                               const CoefficientPrior& prior,
-                                               const linalg::Vector& taus);
-
-/// Full Gaussian posterior (mean and covariance, Eq. 28/29 resp. 31/32),
-/// for diagnostics and small-M analysis. `sigma0_sq` sets the absolute
-/// noise scale of the covariance: for the zero-mean prior pass tau itself;
-/// for the nonzero-mean prior tau = eta only fixes the mean, so the
-/// covariance is reported in units of sigma_0^2 = 1 unless provided.
-struct MapPosterior {
-  linalg::Vector mean;
-  linalg::Matrix covariance;
-};
-
-MapPosterior map_posterior(const linalg::Matrix& g, const linalg::Vector& f,
-                           const CoefficientPrior& prior, double tau,
-                           double sigma0_sq);
 
 }  // namespace bmf::core

@@ -1,6 +1,7 @@
 #include "bmf/solver_workspace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "check/contracts.hpp"
@@ -8,14 +9,65 @@
 
 namespace bmf::core {
 
+namespace {
+
+linalg::Vector inverse_scale(const CoefficientPrior& prior) {
+  const linalg::Vector& q = prior.precision_scale();
+  linalg::Vector inv_q(q.size());
+  for (std::size_t p = 0; p < q.size(); ++p) inv_q[p] = 1.0 / q[p];
+  return inv_q;
+}
+
+}  // namespace
+
+linalg::Matrix map_kernel(const linalg::Matrix& g,
+                          const CoefficientPrior& prior) {
+  LINALG_REQUIRE(g.cols() == prior.size(),
+                 "map_kernel: prior size must match basis count");
+  BMF_EXPECTS_DIMS(check::all_finite(g),
+                   "map_kernel: design matrix must be finite",
+                   {"g.rows", g.rows()}, {"g.cols", g.cols()});
+  BMF_EXPECTS_DIMS(check::all_positive(prior.precision_scale()),
+                   "map_kernel: prior variances must be positive and finite",
+                   {"prior.size", prior.size()});
+  return linalg::outer_gram_weighted(g, inverse_scale(prior));
+}
+
+PsdEigen psd_eigen(const linalg::Matrix& b) {
+  PsdEigen e;
+  static_cast<linalg::SymmetricEigen&>(e) = linalg::eigen_symmetric(b);
+  // Record how far below zero the spectrum dipped and how many eigenvalues
+  // were beyond roundoff-sized (tol relative to the spectral radius), then
+  // clamp every negative eigenvalue to zero.
+  double wmax = 0.0;
+  for (double w : e.values) {
+    wmax = std::max(wmax, std::abs(w));
+    e.min_eigenvalue = std::min(e.min_eigenvalue, w);
+  }
+  const double tol = wmax * 1e-12;
+  for (double& w : e.values) {
+    if (w < -tol) ++e.clamped;
+    w = std::max(w, 0.0);
+  }
+  return e;
+}
+
 MapSolverWorkspace::MapSolverWorkspace(const linalg::Matrix& g,
                                        const linalg::Vector& f,
                                        const CoefficientPrior& prior)
+    : MapSolverWorkspace(g, f, prior, map_kernel(g, prior)) {}
+
+MapSolverWorkspace::MapSolverWorkspace(const linalg::Matrix& g,
+                                       const linalg::Vector& f,
+                                       const CoefficientPrior& prior,
+                                       const linalg::Matrix& kernel)
     : g_(&g) {
   LINALG_REQUIRE(g.rows() == f.size(),
                  "MapSolverWorkspace: rhs size mismatch");
   LINALG_REQUIRE(g.cols() == prior.size(),
                  "MapSolverWorkspace: prior size must match basis count");
+  LINALG_REQUIRE(kernel.rows() == g.rows() && kernel.cols() == g.rows(),
+                 "MapSolverWorkspace: kernel must be K x K");
   BMF_EXPECTS_DIMS(check::all_finite(g) && check::all_finite(f),
                    "MapSolverWorkspace: design matrix and responses must be "
                    "finite",
@@ -25,29 +77,11 @@ MapSolverWorkspace::MapSolverWorkspace(const linalg::Matrix& g,
                    "finite",
                    {"prior.size", prior.size()});
   const std::size_t m = g.cols();
-  const linalg::Vector& q = prior.precision_scale();
-  inv_q_.resize(m);
-  for (std::size_t p = 0; p < m; ++p) inv_q_[p] = 1.0 / q[p];
+  inv_q_ = inverse_scale(prior);
 
-  // Kernel B = G D^{-1} G^T and its eigendecomposition — the only
-  // super-quadratic work; everything tau-dependent happens in the
-  // eigenbasis afterwards.
-  eig_ = linalg::eigen_symmetric(linalg::outer_gram_weighted(g, inv_q_));
-  // PSD clamp with telemetry: record how far below zero the spectrum dipped
-  // and how many eigenvalues were beyond roundoff-sized (tol relative to
-  // the spectral radius), so callers can surface a degradation diagnostic.
-  double wmax = 0.0;
-  min_eigenvalue_ = 0.0;
-  for (double w : eig_.values) {
-    wmax = std::max(wmax, std::abs(w));
-    min_eigenvalue_ = std::min(min_eigenvalue_, w);
-  }
-  const double tol = wmax * 1e-12;
-  clamped_ = 0;
-  for (double& w : eig_.values) {
-    if (w < -tol) ++clamped_;
-    w = std::max(w, 0.0);
-  }
+  // The eigendecomposition of B is the only super-quadratic work here;
+  // everything tau-dependent happens in the eigenbasis afterwards.
+  eig_ = psd_eigen(kernel);
 
   // u0 = D^{-1} G^T f and vb2 = V^T (B f) = V^T (G u0).
   linalg::Vector gt_f = linalg::gemv_t(g, f);

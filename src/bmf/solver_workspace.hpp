@@ -1,37 +1,63 @@
-// Amortized MAP solver: one tau-independent factorization, O(K^2 + K M)
-// per hyper-parameter afterwards.
+// The tau-independent MAP kernel of one design matrix, and the amortized
+// solver built on it: one factorization, O(K^2 + K M) per hyper-parameter
+// afterwards.
 //
 // Every MAP solve in the pipeline shares the normal equations
 //   (tau * D + G^T G) alpha = tau * D * mu + G^T f,   D = diag(q),
 // and the fusion pipeline solves them dozens of times on the *same*
-// (G, f, q): the tau sweep of the CV grid refit, BMF-PS evaluating both
-// priors, every SequentialFusion stage. map_solve_direct rebuilds an
-// O(K M^2) Gram and an O(M^3) Cholesky per call; map_solve_fast rebuilds an
-// O(K^2 M) Woodbury capacitance and an O(K^3) factorization per call — all
-// of it tau-independent work.
+// (G, f, q): the tau sweep of the CV grid, BMF-PS evaluating both priors,
+// every SequentialFusion stage. map_solve_direct rebuilds an O(K M^2) Gram
+// and an O(M^3) Cholesky per call; map_solve_fast rebuilds an O(K^2 M)
+// Woodbury capacitance and an O(K^3) factorization per call — all of it
+// tau-independent work.
 //
-// MapSolverWorkspace hoists that work out of the tau loop. Writing the
-// Woodbury identity with A = tau * D and the kernel B = G D^{-1} G^T:
+// Writing the Woodbury identity with A = tau * D and the kernel
+// B = G D^{-1} G^T:
 //
 //   alpha(tau, mu) = mu + D^{-1} G^T f / tau
 //                  - D^{-1} G^T (I + B/tau)^{-1} (G mu + B f / tau) / tau
 //
 // B (K x K) is independent of tau and of the prior mean, and it is
 // *identical for the zero-mean and nonzero-mean priors* (both use
-// q_m = 1/alpha_E,m^2, paper Section III-A). The workspace computes B, its
-// symmetric eigendecomposition B = V diag(w) V^T, and the projected right-
-// hand sides once; afterwards (I + B/tau)^{-1} is a diagonal rescale in the
-// eigenbasis and each solve(tau) costs O(K^2 + K M) — the same trick
-// CvEngine::build_fold uses per fold, promoted to the full-data solver.
-// The solves are exact (no approximation): results match map_solve_direct /
-// map_solve_fast to solver tolerance.
+// q_m = 1/alpha_E,m^2, paper Section III-A). map_kernel() is the one place
+// B is built. Its two consumers read the same matrix:
+//
+//   * MapSolverWorkspace eigendecomposes B = V diag(w) V^T once; afterwards
+//     (I + B/tau)^{-1} is a diagonal rescale in the eigenbasis and each
+//     solve(tau) costs O(K^2 + K M).
+//   * CvEngine (bmf/cross_validation.hpp) slices it: fold n's kernel is the
+//     principal submatrix B[train, train] and its cross term B[test, train].
+//
+// Both eigendecompositions go through psd_eigen(). The solves are exact (no
+// approximation): results match map_solve_direct / map_solve_fast to solver
+// tolerance.
 #pragma once
+
+#include <cstddef>
 
 #include "bmf/prior.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
 
 namespace bmf::core {
+
+/// B = G D^{-1} G^T (K x K, symmetric PSD) for the design matrix `g`
+/// (K x M) and the precision scale q = diag(D) of `prior`. Cost O(K^2 M).
+linalg::Matrix map_kernel(const linalg::Matrix& g,
+                          const CoefficientPrior& prior);
+
+/// Eigendecomposition of B or of a principal submatrix of it. B is PSD in
+/// exact arithmetic; roundoff can push eigenvalues slightly negative, and
+/// those are clamped to zero. min_eigenvalue is the smallest *pre-clamp*
+/// eigenvalue; clamped counts eigenvalues below -tol (tol relative to the
+/// spectral radius) — clamps large enough to signal a genuinely indefinite
+/// kernel rather than benign roundoff.
+struct PsdEigen : linalg::SymmetricEigen {
+  double min_eigenvalue = 0.0;
+  std::size_t clamped = 0;
+};
+
+PsdEigen psd_eigen(const linalg::Matrix& b);
 
 class MapSolverWorkspace {
  public:
@@ -41,6 +67,12 @@ class MapSolverWorkspace {
   /// only read during construction. Cost: O(K^2 M + K^3).
   MapSolverWorkspace(const linalg::Matrix& g, const linalg::Vector& f,
                      const CoefficientPrior& prior);
+
+  /// Same, reusing `kernel` = map_kernel(g, prior) (read only during
+  /// construction): O(K^3 + K M).
+  MapSolverWorkspace(const linalg::Matrix& g, const linalg::Vector& f,
+                     const CoefficientPrior& prior,
+                     const linalg::Matrix& kernel);
 
   /// Tau-independent projection of one prior mean; build once with
   /// project_mean(), reuse across the whole tau grid.
@@ -69,23 +101,15 @@ class MapSolverWorkspace {
   std::size_t num_samples() const { return g_->rows(); }  // K
   std::size_t num_bases() const { return g_->cols(); }    // M
 
-  /// Degradation telemetry for the PSD clamp applied at construction.
-  /// B = G D^{-1} G^T is PSD in exact arithmetic; roundoff can push
-  /// eigenvalues slightly negative, and those are clamped to zero.
-  /// min_eigenvalue() is the smallest *pre-clamp* eigenvalue;
-  /// clamped_eigenvalues() counts eigenvalues below -tol (tol = relative
-  /// to the spectral radius) — i.e. clamps large enough to signal a
-  /// genuinely indefinite kernel rather than benign roundoff.
-  double min_eigenvalue() const { return min_eigenvalue_; }
-  std::size_t clamped_eigenvalues() const { return clamped_; }
-  bool degraded() const { return clamped_ > 0; }
+  /// Degradation telemetry of the PSD clamp (see PsdEigen).
+  double min_eigenvalue() const { return eig_.min_eigenvalue; }
+  std::size_t clamped_eigenvalues() const { return eig_.clamped; }
+  bool degraded() const { return eig_.clamped > 0; }
 
  private:
   const linalg::Matrix* g_;     // not owned; must outlive the workspace
   linalg::Vector inv_q_;        // D^{-1} diagonal (M)
-  linalg::SymmetricEigen eig_;  // of B = G D^{-1} G^T (values clamped >= 0)
-  double min_eigenvalue_ = 0.0;  // smallest eigenvalue before the clamp
-  std::size_t clamped_ = 0;      // eigenvalues clamped from below -tol
+  PsdEigen eig_;                // of B = G D^{-1} G^T
   linalg::Vector u0_;           // D^{-1} G^T f (M)
   linalg::Vector vb2_;          // V^T (B f) = V^T (G u0) (K)
   ProjectedMean own_mean_;      // projection of the construction prior mean

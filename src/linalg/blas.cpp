@@ -265,17 +265,4 @@ Matrix outer_gram_weighted(const Matrix& g, const Vector& d) {
   return c;
 }
 
-Vector gemv_scaled(const Matrix& g, const Vector& d, const Vector& z) {
-  LINALG_REQUIRE(g.cols() == d.size() && d.size() == z.size(),
-                 "gemv_scaled size mismatch");
-  const std::size_t k = g.rows(), m = g.cols();
-  Vector y(k, 0.0);
-  const kernels::KernelTable& kt = kernels::active();
-  maybe_parallel_rows(k, k * m, 64, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i)
-      y[i] = kt.dot3(g.row_ptr(i), d.data(), z.data(), m);
-  });
-  return y;
-}
-
 }  // namespace bmf::linalg

@@ -61,8 +61,4 @@ Matrix gram(const Matrix& g);
 /// any M x M object.
 Matrix outer_gram_weighted(const Matrix& g, const Vector& d);
 
-/// y = G * (d .* z) where d is an M-entry diagonal and z an M-vector:
-/// the "G * A^{-1} * v" pattern of Eq. 55/58 without forming matrices.
-Vector gemv_scaled(const Matrix& g, const Vector& d, const Vector& z);
-
 }  // namespace bmf::linalg

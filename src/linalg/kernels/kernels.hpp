@@ -44,10 +44,6 @@ struct KernelTable {
   /// sum_i a[i] * b[i].
   double (*dot)(const double* a, const double* b, std::size_t n);
 
-  /// sum_i a[i] * b[i] * c[i] (the gemv_scaled row reduction).
-  double (*dot3)(const double* a, const double* b, const double* c,
-                 std::size_t n);
-
   /// y[i] += alpha * x[i].
   void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
 

@@ -52,28 +52,6 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-double dot3_avx2(const double* a, const double* b, const double* c,
-                 std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(
-        _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)),
-        _mm256_loadu_pd(c + i), acc0);
-    acc1 = _mm256_fmadd_pd(
-        _mm256_mul_pd(_mm256_loadu_pd(a + i + 4),
-                      _mm256_loadu_pd(b + i + 4)),
-        _mm256_loadu_pd(c + i + 4), acc1);
-  }
-  for (; i + 4 <= n; i += 4)
-    acc0 = _mm256_fmadd_pd(
-        _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)),
-        _mm256_loadu_pd(c + i), acc0);
-  double s = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s = std::fma(a[i] * b[i], c[i], s);
-  return s;
-}
-
 void axpy_avx2(double alpha, const double* x, double* y, std::size_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
   std::size_t i = 0;
@@ -178,8 +156,8 @@ void hermite_all_avx2(unsigned max_degree, const double* x, std::size_t n,
 }
 
 constexpr KernelTable kAvx2Table{
-    SimdLevel::kAvx2, dot_avx2,  dot3_avx2,      axpy_avx2,
-    mul_avx2,         micro_4x8_avx2, hermite_all_avx2,
+    SimdLevel::kAvx2, dot_avx2,         axpy_avx2,        mul_avx2,
+    micro_4x8_avx2,   hermite_all_avx2,
 };
 
 }  // namespace

@@ -50,28 +50,6 @@ double dot_avx512(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-double dot3_avx512(const double* a, const double* b, const double* c,
-                   std::size_t n) {
-  __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm512_fmadd_pd(
-        _mm512_mul_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i)),
-        _mm512_loadu_pd(c + i), acc0);
-    acc1 = _mm512_fmadd_pd(
-        _mm512_mul_pd(_mm512_loadu_pd(a + i + 8),
-                      _mm512_loadu_pd(b + i + 8)),
-        _mm512_loadu_pd(c + i + 8), acc1);
-  }
-  for (; i + 8 <= n; i += 8)
-    acc0 = _mm512_fmadd_pd(
-        _mm512_mul_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i)),
-        _mm512_loadu_pd(c + i), acc0);
-  double s = hsum512(_mm512_add_pd(acc0, acc1));
-  for (; i < n; ++i) s = std::fma(a[i] * b[i], c[i], s);
-  return s;
-}
-
 void axpy_avx512(double alpha, const double* x, double* y, std::size_t n) {
   const __m512d va = _mm512_set1_pd(alpha);
   std::size_t i = 0;
@@ -158,8 +136,8 @@ void hermite_all_avx512(unsigned max_degree, const double* x, std::size_t n,
 }
 
 constexpr KernelTable kAvx512Table{
-    SimdLevel::kAvx512, dot_avx512, dot3_avx512,      axpy_avx512,
-    mul_avx512,         micro_4x8_avx512, hermite_all_avx512,
+    SimdLevel::kAvx512, dot_avx512,         axpy_avx512,      mul_avx512,
+    micro_4x8_avx512,   hermite_all_avx512,
 };
 
 }  // namespace

@@ -28,21 +28,6 @@ double dot_scalar(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-double dot3_scalar(const double* a, const double* b, const double* c,
-                   std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i] * c[i];
-    s1 += a[i + 1] * b[i + 1] * c[i + 1];
-    s2 += a[i + 2] * b[i + 2] * c[i + 2];
-    s3 += a[i + 3] * b[i + 3] * c[i + 3];
-  }
-  double s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += a[i] * b[i] * c[i];
-  return s;
-}
-
 void axpy_scalar(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -89,9 +74,8 @@ void hermite_all_scalar(unsigned max_degree, const double* x, std::size_t n,
 }
 
 constexpr KernelTable kScalarTable{
-    SimdLevel::kScalar, dot_scalar,      dot3_scalar,
-    axpy_scalar,        mul_scalar,      micro_4x8_scalar,
-    hermite_all_scalar,
+    SimdLevel::kScalar, dot_scalar,       axpy_scalar,       mul_scalar,
+    micro_4x8_scalar,   hermite_all_scalar,
 };
 
 }  // namespace

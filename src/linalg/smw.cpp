@@ -1,81 +1,46 @@
 #include "linalg/smw.hpp"
 
-#include <cmath>
-
 #include "check/contracts.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 
 namespace bmf::linalg {
 
-WoodburySolver::WoodburySolver(const Matrix& g, const Vector& diag, double c)
-    : g_(&g), base_inv_diag_(diag.size()), c_(c) {
-  LINALG_REQUIRE(g.cols() == diag.size(),
-                 "WoodburySolver: diag size must equal G columns");
-  LINALG_REQUIRE(c > 0.0, "WoodburySolver: c must be positive");
-  BMF_EXPECTS_DIMS(check::all_finite(g),
-                   "WoodburySolver: design matrix must be finite",
-                   {"g.rows", g.rows()}, {"g.cols", g.cols()});
-  BMF_EXPECTS_DIMS(check::all_positive(diag) && check::is_finite(c),
-                   "WoodburySolver: diagonal must be positive and finite",
-                   {"diag.size", diag.size()});
-  for (std::size_t i = 0; i < diag.size(); ++i) {
-    LINALG_REQUIRE(diag[i] > 0.0,
-                   "WoodburySolver: diagonal entries must be positive");
-    base_inv_diag_[i] = 1.0 / diag[i];
-  }
-  inv_diag_ = base_inv_diag_;
-  // tau-independent kernel: B = G diag(a)^{-1} G^T (K x K, PSD). Any later
-  // uniform diagonal rescale only scales B, so it is computed exactly once.
-  base_outer_ = outer_gram_weighted(g, base_inv_diag_);
-  factor_capacitance();
-}
-
-void WoodburySolver::factor_capacitance() {
-  // Capacitance matrix: c^{-1} I + G (s a)^{-1} G^T = c^{-1} I + B / s.
-  Matrix cap = base_outer_;
-  cap *= 1.0 / scale_;
-  const double cinv = 1.0 / c_;
-  for (std::size_t i = 0; i < cap.rows(); ++i) cap(i, i) += cinv;
-  cap_l_ = Cholesky(cap).factor();
-}
-
-void WoodburySolver::rescale_diag(double scale) {
-  LINALG_REQUIRE(scale > 0.0, "WoodburySolver: scale must be positive");
-  BMF_EXPECTS(check::is_finite(scale),
-              "WoodburySolver: scale must be finite");
-  scale_ = scale;
-  const double inv_scale = 1.0 / scale;
-  for (std::size_t i = 0; i < base_inv_diag_.size(); ++i)
-    inv_diag_[i] = base_inv_diag_[i] * inv_scale;
-  factor_capacitance();
-}
-
-Vector WoodburySolver::solve(const Vector& b) const {
-  LINALG_REQUIRE(b.size() == m(), "WoodburySolver::solve size mismatch");
-  BMF_EXPECTS_DIMS(check::all_finite(b),
-                   "WoodburySolver::solve rhs must be finite",
-                   {"b.size", b.size()});
-  // u = A^{-1} b
-  Vector u(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) u[i] = inv_diag_[i] * b[i];
-  // t = (cap)^{-1} G u, via the cached Cholesky factor.
-  Vector gu = gemv(*g_, u);
-  Vector t = backward_subst_t(cap_l_, forward_subst(cap_l_, gu));
-  // x = u - A^{-1} G^T t
-  Vector gt = gemv_t(*g_, t);
-  Vector x(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i)
-    x[i] = u[i] - inv_diag_[i] * gt[i];
-  BMF_ENSURES_DIMS(check::all_finite(x),
-                   "WoodburySolver::solve produced a non-finite solution",
-                   {"k", k()}, {"m", m()});
-  return x;
-}
-
 Vector woodbury_solve(const Matrix& g, const Vector& diag, double c,
                       const Vector& b) {
-  return WoodburySolver(g, diag, c).solve(b);
+  LINALG_REQUIRE(g.cols() == diag.size(),
+                 "woodbury_solve: diag size must equal G columns");
+  LINALG_REQUIRE(c > 0.0, "woodbury_solve: c must be positive");
+  LINALG_REQUIRE(b.size() == g.cols(), "woodbury_solve: rhs size mismatch");
+  BMF_EXPECTS_DIMS(check::all_finite(g),
+                   "woodbury_solve: design matrix must be finite",
+                   {"g.rows", g.rows()}, {"g.cols", g.cols()});
+  BMF_EXPECTS_DIMS(check::all_positive(diag) && check::is_finite(c),
+                   "woodbury_solve: diagonal must be positive and finite",
+                   {"diag.size", diag.size()});
+  BMF_EXPECTS_DIMS(check::all_finite(b), "woodbury_solve: rhs must be finite",
+                   {"b.size", b.size()});
+  Vector inv_diag(diag.size());
+  for (std::size_t i = 0; i < diag.size(); ++i) {
+    LINALG_REQUIRE(diag[i] > 0.0,
+                   "woodbury_solve: diagonal entries must be positive");
+    inv_diag[i] = 1.0 / diag[i];
+  }
+  // Capacitance matrix: c^{-1} I + G A^{-1} G^T.
+  Matrix cap = outer_gram_weighted(g, inv_diag);
+  const double cinv = 1.0 / c;
+  for (std::size_t i = 0; i < cap.rows(); ++i) cap(i, i) += cinv;
+  // u = A^{-1} b; t = (cap)^{-1} G u; x = u - A^{-1} G^T t.
+  Vector u(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) u[i] = inv_diag[i] * b[i];
+  Vector t = Cholesky(cap).solve(gemv(g, u));
+  Vector gt = gemv_t(g, t);
+  Vector x(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) x[i] = u[i] - inv_diag[i] * gt[i];
+  BMF_ENSURES_DIMS(check::all_finite(x),
+                   "woodbury_solve produced a non-finite solution",
+                   {"k", g.rows()}, {"m", g.cols()});
+  return x;
 }
 
 }  // namespace bmf::linalg

@@ -13,48 +13,10 @@
 
 namespace bmf::linalg {
 
-/// Precomputed Woodbury solver for (diag(a) + c * G^T G) with fixed G, a, c.
-/// The K x K capacitance matrix is factorized once in the constructor, so
-/// repeated solves are cheap; and the O(K^2 M) outer-Gram kernel
-/// B = G diag(a)^{-1} G^T is cached, so retuning the solver to a uniformly
-/// rescaled diagonal s * diag(a) (the tau-sweep pattern of the MAP solver:
-/// the diagonal is tau * q with fixed q) costs only the O(K^3) K x K
-/// refactorization — the M-sized work is never repeated.
-class WoodburySolver {
- public:
-  /// `g` is the K x M design matrix, `diag` the M diagonal entries (all > 0),
-  /// `c` the positive scale of the Gram term.
-  WoodburySolver(const Matrix& g, const Vector& diag, double c);
-
-  /// Solve (s * diag(a) + c G^T G) x = b; b has M entries. s is the current
-  /// diagonal scale (1 until rescale_diag is called).
-  Vector solve(const Vector& b) const;
-
-  /// Refactorize for a uniform rescale of the construction diagonal: the
-  /// solver subsequently represents (scale * diag(a) + c G^T G). Reuses the
-  /// cached G diag(a)^{-1} G^T kernel, so this is O(K^2 + K^3) with no
-  /// O(K^2 M) term. `scale` must be positive.
-  void rescale_diag(double scale);
-
-  /// Current uniform scale applied to the construction diagonal.
-  double diag_scale() const { return scale_; }
-
-  std::size_t k() const { return g_->rows(); }
-  std::size_t m() const { return g_->cols(); }
-
- private:
-  void factor_capacitance();
-
-  const Matrix* g_;       // not owned; must outlive the solver
-  Vector base_inv_diag_;  // a^{-1} at construction scale
-  Vector inv_diag_;       // (scale * a)^{-1}
-  double c_;
-  double scale_ = 1.0;
-  Matrix base_outer_;     // cached kernel G diag(a)^{-1} G^T (K x K)
-  Matrix cap_l_;          // Cholesky factor of (c^{-1} I + G (s a)^{-1} G^T)
-};
-
-/// One-shot convenience wrapper around WoodburySolver.
+/// Solve (diag(a) + c G^T G) x = b. `g` is the K x M design matrix, `diag`
+/// the M diagonal entries (all > 0), `c` the positive scale of the Gram
+/// term, `b` the M-entry right-hand side. Builds and factorizes the K x K
+/// capacitance matrix per call: O(K^2 M + K^3).
 Vector woodbury_solve(const Matrix& g, const Vector& diag, double c,
                       const Vector& b);
 

@@ -110,14 +110,6 @@ TEST(Blas, OuterGramWeighted) {
   EXPECT_THROW(outer_gram_weighted(g, {1.0}), std::invalid_argument);
 }
 
-TEST(Blas, GemvScaled) {
-  Matrix g{{1, 2}, {0, 3}};
-  Vector d{2, 1};
-  Vector z{1, 1};
-  // G * (d .* z) = G * [2, 1]^T = [4, 3]^T
-  EXPECT_EQ(gemv_scaled(g, d, z), (Vector{4, 3}));
-}
-
 // --- Microkernel tail handling -------------------------------------------
 //
 // The register-blocked gemm family packs into fixed 4x8 tiles with
@@ -170,23 +162,18 @@ TEST(Blas, GemvFamilyMatchesNaiveAboveParallelCutoff) {
   // path; spot-check against a scalar loop.
   const std::size_t n = 300;
   Matrix g = fill(n, n, 0.3);
-  Vector x(n), d(n), z(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  Vector x(n);
+  for (std::size_t i = 0; i < n; ++i)
     x[i] = std::cos(0.2 + static_cast<double>(i));
-    d[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i));
-    z[i] = std::sin(1.1 * static_cast<double>(i));
-  }
-  Vector y = gemv(g, x), yt = gemv_t(g, x), ys = gemv_scaled(g, d, z);
+  Vector y = gemv(g, x), yt = gemv_t(g, x);
   for (std::size_t i = 0; i < n; i += 41) {
-    double s = 0.0, st = 0.0, ss = 0.0;
+    double s = 0.0, st = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
       s += g(i, j) * x[j];
       st += g(j, i) * x[j];
-      ss += g(i, j) * d[j] * z[j];
     }
     EXPECT_NEAR(y[i], s, 1e-10);
     EXPECT_NEAR(yt[i], st, 1e-10);
-    EXPECT_NEAR(ys[i], ss, 1e-10);
   }
 }
 

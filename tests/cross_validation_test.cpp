@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "bmf/map_solver.hpp"
 #include "linalg/blas.hpp"
@@ -103,28 +104,57 @@ CvCurve brute_force_cv(const linalg::Matrix& g, const linalg::Vector& f,
 class CvEngineVsBruteForce : public ::testing::TestWithParam<PriorKind> {};
 
 TEST_P(CvEngineVsBruteForce, CurvesAgree) {
-  stats::Rng rng(42);
-  Problem p = make_problem(30, 50, 0.1, rng);
-  // Perturb early coefficients so the prior is informative but imperfect.
-  linalg::Vector early = p.early;
-  for (double& e : early) e *= 1.1;
+  struct Shape {
+    std::size_t k, folds;
+    bool missing_prior;  // flat (non-informative) prior on every 5th entry
+  };
+  // K = 33 with 4 folds gives 9/8/8/8 held-out rows, so the kernel slices
+  // are uneven and their index lists interleave.
+  for (const Shape shape : {Shape{30, 3, false}, Shape{33, 4, false},
+                            Shape{30, 3, true}, Shape{33, 4, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "K=" << shape.k << " folds=" << shape.folds
+                 << " missing_prior=" << shape.missing_prior);
+    const std::size_t m = 50;
+    stats::Rng rng(42);
+    Problem p = make_problem(shape.k, m, 0.1, rng);
+    // Perturb early coefficients so the prior is informative but imperfect.
+    linalg::Vector early = p.early;
+    for (double& e : early) e *= 1.1;
+    std::vector<char> informative;
+    if (shape.missing_prior) {
+      informative.assign(m, 1);
+      for (std::size_t j = 2; j < m; j += 5) informative[j] = 0;
+    }
 
-  auto prior = GetParam() == PriorKind::kZeroMean
-                   ? CoefficientPrior::zero_mean(early)
-                   : CoefficientPrior::nonzero_mean(early);
-  CvOptions opt;
-  opt.folds = 3;
-  opt.grid_size = 7;
-  opt.seed = 9;
+    auto prior = GetParam() == PriorKind::kZeroMean
+                     ? CoefficientPrior::zero_mean(early, informative)
+                     : CoefficientPrior::nonzero_mean(early, informative);
+    CvOptions opt;
+    opt.folds = shape.folds;
+    opt.grid_size = 7;
+    opt.seed = 9;
 
-  CvEngine engine(p.g, p.f, prior, opt);
-  CvCurve fast = engine.evaluate(prior.mean());
-  CvCurve ref = brute_force_cv(p.g, p.f, prior, engine.tau_grid(), opt.folds,
-                               opt.seed);
-  ASSERT_EQ(fast.errors.size(), ref.errors.size());
-  for (std::size_t i = 0; i < fast.errors.size(); ++i)
-    EXPECT_NEAR(fast.errors[i], ref.errors[i], 1e-6 + 1e-4 * ref.errors[i])
-        << "grid point " << i;
+    const linalg::Matrix b = map_kernel(p.g, prior);
+    CvEngine engine(p.g, p.f, b, opt);
+    CvCurve fast = engine.evaluate(prior.mean());
+    CvCurve ref = brute_force_cv(p.g, p.f, prior, engine.tau_grid(),
+                                 opt.folds, opt.seed);
+    ASSERT_EQ(fast.errors.size(), ref.errors.size());
+    // The engine (like the final workspace solve and map_solve_fast) works
+    // in the Woodbury form, whose prediction is a difference of two terms
+    // of size ||B|| |f| divided by tau: its relative roundoff grows like
+    // eps ||B|| / tau. trace(B) >= ||B|| bounds that at the small-tau end
+    // of the grid, where flat-prior entries make B large.
+    double trace = 0.0;
+    for (std::size_t i = 0; i < b.rows(); ++i) trace += b(i, i);
+    const double eps = std::numeric_limits<double>::epsilon();
+    for (std::size_t i = 0; i < fast.errors.size(); ++i) {
+      const double rel = 1e-4 + eps * trace / engine.tau_grid()[i];
+      EXPECT_NEAR(fast.errors[i], ref.errors[i], 1e-6 + rel * ref.errors[i])
+          << "grid point " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Priors, CvEngineVsBruteForce,
@@ -140,7 +170,7 @@ TEST(CvEngine, AccuratePriorFavorsLargeTauForNonzeroMean) {
   CvOptions opt;
   opt.folds = 5;
   opt.grid_size = 9;
-  CvEngine engine(p.g, p.f, prior, opt);
+  CvEngine engine(p.g, p.f, map_kernel(p.g, prior), opt);
   CvCurve c = engine.evaluate(prior.mean());
   EXPECT_LT(c.errors.back(), c.errors.front());
   EXPECT_GE(c.best_index(), 4u);  // optimum in the strong-prior half
@@ -156,7 +186,7 @@ TEST(CvEngine, WrongPriorMeanFavorsSmallTau) {
   CvOptions opt;
   opt.folds = 4;
   opt.grid_size = 9;
-  CvEngine engine(p.g, p.f, prior, opt);
+  CvEngine engine(p.g, p.f, map_kernel(p.g, prior), opt);
   CvCurve c = engine.evaluate(prior.mean());
   EXPECT_LT(c.best_index(), 4u);  // optimum in the weak-prior half
   EXPECT_GT(c.errors.back(), c.errors.front());
@@ -166,7 +196,7 @@ TEST(CvEngine, CurveBestIndexConsistent) {
   stats::Rng rng(9);
   Problem p = make_problem(20, 10, 0.1, rng);
   auto prior = CoefficientPrior::zero_mean(p.early);
-  CvEngine engine(p.g, p.f, prior, {});
+  CvEngine engine(p.g, p.f, map_kernel(p.g, prior), {});
   CvCurve c = engine.evaluate(prior.mean());
   const std::size_t bi = c.best_index();
   for (double e : c.errors) EXPECT_GE(e, c.errors[bi] - 1e-15);
@@ -179,13 +209,16 @@ TEST(CvEngine, Validates) {
   p.g.assign(6, 4);
   p.f.assign(6, 0.0);
   auto prior = CoefficientPrior::zero_mean({1.0, 1.0, 1.0, 1.0});
+  const linalg::Matrix b = map_kernel(p.g, prior);
   CvOptions opt;
   opt.folds = 7;  // > K
-  EXPECT_THROW(CvEngine(p.g, p.f, prior, opt), std::invalid_argument);
+  EXPECT_THROW(CvEngine(p.g, p.f, b, opt), std::invalid_argument);
   opt.folds = 1;
-  EXPECT_THROW(CvEngine(p.g, p.f, prior, opt), std::invalid_argument);
+  EXPECT_THROW(CvEngine(p.g, p.f, b, opt), std::invalid_argument);
   opt.folds = 2;
-  CvEngine ok(p.g, p.f, prior, opt);
+  CvEngine ok(p.g, p.f, b, opt);
+  EXPECT_THROW(CvEngine(p.g, p.f, linalg::Matrix(5, 5), opt),
+               std::invalid_argument);
   EXPECT_THROW(ok.evaluate({1.0}), std::invalid_argument);
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "bmf/map_solver.hpp"
 #include "linalg/blas.hpp"
 #include "regress/omp.hpp"
 #include "stats/descriptive.hpp"
@@ -198,19 +199,21 @@ TEST(Fusion, SelectionToString) {
 }
 
 TEST(Fusion, DirectAndFastSolversGiveSameModel) {
+  // The fitted model comes from the shared-kernel workspace; the direct
+  // Cholesky solve at the chosen (prior, tau) must give the same model.
   Scenario s = make_scenario(25, 20, 0.1, 0.02, 11);
-  FusionOptions fast_opt;
-  fast_opt.solver = SolverKind::kFast;
-  FusionOptions direct_opt;
-  direct_opt.solver = SolverKind::kDirect;
-  auto fast = bmf_fit(s.basis, s.early, {}, s.train_points, s.train_f,
-                      PriorSelection::kAuto, fast_opt);
-  auto direct = bmf_fit(s.basis, s.early, {}, s.train_points, s.train_f,
-                        PriorSelection::kAuto, direct_opt);
-  ASSERT_EQ(fast.report.chosen_kind, direct.report.chosen_kind);
+  BmfFitter fitter(s.basis, s.early);
+  fitter.set_data(s.train_points, s.train_f);
+  auto fast = fitter.fit(PriorSelection::kAuto);
+  const PriorOptions& popt = fitter.options().prior;
+  const auto prior =
+      fast.report.chosen_kind == PriorKind::kZeroMean
+          ? CoefficientPrior::zero_mean(s.early, {}, popt)
+          : CoefficientPrior::nonzero_mean(s.early, {}, popt);
+  const linalg::Vector direct = map_solve_direct(
+      fitter.design(), s.train_f, prior, fast.report.chosen_tau);
   for (std::size_t j = 0; j < s.early.size(); ++j)
-    EXPECT_NEAR(fast.model.coefficients()[j], direct.model.coefficients()[j],
-                1e-6);
+    EXPECT_NEAR(fast.model.coefficients()[j], direct[j], 1e-6);
 }
 
 }  // namespace

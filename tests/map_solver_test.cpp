@@ -129,43 +129,5 @@ TEST(MapSolver, Validation) {
   EXPECT_THROW(map_solve_direct(g, f, wrong, 1.0), std::invalid_argument);
 }
 
-TEST(MapSolver, DispatchMatchesImplementations) {
-  stats::Rng rng(5);
-  Problem p = make_problem(10, 15, rng);
-  auto prior = CoefficientPrior::zero_mean(p.early);
-  linalg::Vector via_direct =
-      map_solve(p.g, p.f, prior, 1.0, SolverKind::kDirect);
-  linalg::Vector via_fast = map_solve(p.g, p.f, prior, 1.0, SolverKind::kFast);
-  linalg::Vector direct = map_solve_direct(p.g, p.f, prior, 1.0);
-  EXPECT_EQ(via_direct, direct);
-  for (std::size_t j = 0; j < 15; ++j)
-    EXPECT_NEAR(via_fast[j], direct[j], 1e-8);
-}
-
-TEST(MapPosterior, MeanMatchesMapAndCovarianceShrinksWithData) {
-  stats::Rng rng(6);
-  Problem small = make_problem(5, 4, rng);
-  Problem large = make_problem(100, 4, rng);
-  auto prior_s = CoefficientPrior::zero_mean(small.early);
-  auto prior_l = CoefficientPrior::zero_mean(small.early);
-
-  MapPosterior post_s = map_posterior(small.g, small.f, prior_s, 1.0, 1.0);
-  linalg::Vector a = map_solve_direct(small.g, small.f, prior_s, 1.0);
-  for (std::size_t j = 0; j < 4; ++j) EXPECT_NEAR(post_s.mean[j], a[j], 1e-10);
-
-  MapPosterior post_l = map_posterior(large.g, large.f, prior_l, 1.0, 1.0);
-  for (std::size_t j = 0; j < 4; ++j) {
-    EXPECT_GT(post_s.covariance(j, j), 0.0);
-    EXPECT_LT(post_l.covariance(j, j), post_s.covariance(j, j));
-  }
-  EXPECT_THROW(map_posterior(small.g, small.f, prior_s, 1.0, 0.0),
-               std::invalid_argument);
-}
-
-TEST(MapSolver, SolverNames) {
-  EXPECT_STREQ(to_string(SolverKind::kDirect), "direct-cholesky");
-  EXPECT_STREQ(to_string(SolverKind::kFast), "fast-woodbury");
-}
-
 }  // namespace
 }  // namespace bmf::core

@@ -189,22 +189,18 @@ TEST(BitIdentity, GemvFamilyMatchesSerial) {
   // (2^16), so the 4-thread run actually splits the row/column ranges.
   stats::Rng rng(1618);
   const linalg::Matrix g = random_matrix(300, 300, rng);
-  linalg::Vector x(300), d(300), z(300);
+  linalg::Vector x(300);
   for (double& v : x) v = rng.normal();
-  for (double& v : d) v = 0.5 + rng.uniform();
-  for (double& v : z) v = rng.normal();
 
-  linalg::Vector y1, yt1, ys1;
+  linalg::Vector y1, yt1;
   {
     ScopedThreads threads(1);
     y1 = linalg::gemv(g, x);
     yt1 = linalg::gemv_t(g, x);
-    ys1 = linalg::gemv_scaled(g, d, z);
   }
   ScopedThreads threads(4);
   EXPECT_EQ(linalg::gemv(g, x), y1);
   EXPECT_EQ(linalg::gemv_t(g, x), yt1);
-  EXPECT_EQ(linalg::gemv_scaled(g, d, z), ys1);
 }
 
 TEST(BitIdentity, SolverWorkspaceMatchesSerial) {
@@ -294,11 +290,11 @@ TEST(BitIdentity, CrossValidationCurveMatchesSerial) {
   core::CvCurve serial;
   {
     ScopedThreads threads(1);
-    core::CvEngine engine(g, f, prior, opt);
+    core::CvEngine engine(g, f, core::map_kernel(g, prior), opt);
     serial = engine.evaluate(prior.mean());
   }
   ScopedThreads threads(4);
-  core::CvEngine engine(g, f, prior, opt);
+  core::CvEngine engine(g, f, core::map_kernel(g, prior), opt);
   const core::CvCurve par = engine.evaluate(prior.mean());
   ASSERT_EQ(par.errors.size(), serial.errors.size());
   for (std::size_t i = 0; i < par.errors.size(); ++i) {

@@ -123,16 +123,16 @@ TEST(SolverWorkspace, ZeroMeanProjectionShortCircuits) {
   EXPECT_EQ(ws.solve(2.0, mean), ws.solve(2.0));
 }
 
-TEST(SolverWorkspace, TauGridHelperMatchesPerTauSolves) {
+TEST(SolverWorkspace, TauGridMatchesPerTauFastSolves) {
+  // One workspace answers a whole tau grid; each point must match a fresh
+  // per-tau Woodbury solve.
   stats::Rng rng(14);
   Problem p = make_problem(20, 15, rng);
   auto prior = CoefficientPrior::zero_mean(p.early);
-  linalg::Vector taus = log_grid(1e-2, 1e2, 7);
-  std::vector<linalg::Vector> grid = map_solve_tau_grid(p.g, p.f, prior, taus);
-  ASSERT_EQ(grid.size(), taus.size());
   MapSolverWorkspace ws(p.g, p.f, prior);
-  for (std::size_t t = 0; t < taus.size(); ++t)
-    EXPECT_EQ(grid[t], ws.solve(taus[t])) << "t=" << t;
+  for (double tau : log_grid(1e-2, 1e2, 7))
+    expect_close(ws.solve(tau), map_solve_fast(p.g, p.f, prior, tau), 1e-7,
+                 "tau-grid");
 }
 
 TEST(SolverWorkspace, Validation) {
@@ -143,29 +143,57 @@ TEST(SolverWorkspace, Validation) {
   EXPECT_THROW(ws.solve(0.0), std::invalid_argument);
   EXPECT_THROW(ws.solve(-1.0), std::invalid_argument);
   EXPECT_THROW(ws.project_mean(linalg::Vector(3, 1.0)), std::invalid_argument);
-  EXPECT_THROW(map_solve_tau_grid(p.g, p.f, prior, {1.0, -1.0}),
+  EXPECT_THROW(MapSolverWorkspace(p.g, p.f, prior, linalg::Matrix(7, 7)),
                std::invalid_argument);
 }
 
 TEST(SolverWorkspace, FitterFastPathMatchesDirectSolver) {
-  // BmfFitter::fit_at with the (default) fast solver routes through the
-  // shared workspace; it must agree with the direct solver for both priors.
+  // BmfFitter::fit_at routes through the shared workspace; it must agree
+  // with the direct solver for both priors.
   stats::Rng rng(16);
   Problem p = make_problem(30, 10, rng);
-  FusionOptions fast, direct;
-  fast.solver = SolverKind::kFast;
-  direct.solver = SolverKind::kDirect;
   // A moderately wrong prior keeps the problem well-conditioned.
-  BmfFitter ff(basis::BasisSet::total_degree(1, 9), p.early, {}, fast);
-  BmfFitter fd(basis::BasisSet::total_degree(1, 9), p.early, {}, direct);
-  ff.set_design(p.g, p.f);
-  fd.set_design(p.g, p.f);
-  for (double tau : {1e-1, 1.0, 10.0})
-    for (PriorKind kind : {PriorKind::kZeroMean, PriorKind::kNonzeroMean}) {
-      auto a = ff.fit_at(kind, tau);
-      auto b = fd.fit_at(kind, tau);
-      expect_close(a.coefficients(), b.coefficients(), 1e-7, "fit_at");
+  BmfFitter fitter(basis::BasisSet::total_degree(1, 9), p.early);
+  fitter.set_design(p.g, p.f);
+  const PriorOptions& popt = fitter.options().prior;
+  const auto zm = CoefficientPrior::zero_mean(p.early, {}, popt);
+  const auto nzm = CoefficientPrior::nonzero_mean(p.early, {}, popt);
+  for (double tau : {1e-1, 1.0, 10.0}) {
+    expect_close(fitter.fit_at(PriorKind::kZeroMean, tau).coefficients(),
+                 map_solve_direct(p.g, p.f, zm, tau), 1e-7, "fit_at ZM");
+    expect_close(fitter.fit_at(PriorKind::kNonzeroMean, tau).coefficients(),
+                 map_solve_direct(p.g, p.f, nzm, tau), 1e-7, "fit_at NZM");
+  }
+}
+
+TEST(SolverWorkspace, FitterMatchesStandaloneWorkspaceBitwise) {
+  // The fitter hands the kernel it built for the CV engine to its workspace.
+  // That must not move the final solve by a single bit: fit_at equals a
+  // standalone workspace built from the ZM prior, for both priors, with and
+  // without missing prior entries.
+  stats::Rng rng(18);
+  Problem p = make_problem(40, 24, rng);
+  std::vector<char> missing(24, 1);
+  missing[4] = missing[9] = missing[17] = 0;
+  for (const std::vector<char>& informative : {std::vector<char>{}, missing}) {
+    BmfFitter fitter(basis::BasisSet::total_degree(1, 23), p.early,
+                     informative);
+    fitter.set_design(p.g, p.f);
+    const PriorOptions& popt = fitter.options().prior;
+    const auto zm = CoefficientPrior::zero_mean(p.early, informative, popt);
+    const auto nzm =
+        CoefficientPrior::nonzero_mean(p.early, informative, popt);
+    MapSolverWorkspace ws(p.g, p.f, zm);
+    fitter.fit();
+    for (double tau : {1e-3, 1e-1, 1.0, 10.0}) {
+      EXPECT_EQ(fitter.fit_at(PriorKind::kZeroMean, tau).coefficients(),
+                ws.solve(tau))
+          << "ZM tau=" << tau;
+      EXPECT_EQ(fitter.fit_at(PriorKind::kNonzeroMean, tau).coefficients(),
+                ws.solve(tau, nzm.mean()))
+          << "NZM tau=" << tau;
     }
+  }
 }
 
 }  // namespace
