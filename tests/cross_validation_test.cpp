@@ -204,6 +204,24 @@ TEST(CvEngine, CurveBestIndexConsistent) {
   EXPECT_DOUBLE_EQ(c.best_error(), c.errors[bi]);
 }
 
+TEST(CvEngine, TauGridIsCenteredOnResponseVariance) {
+  stats::Rng rng(10);
+  Problem p = make_problem(15, 6, 0.1, rng);
+  auto prior = CoefficientPrior::zero_mean(p.early);
+  CvOptions opt;
+  opt.folds = 3;
+  opt.grid_size = 6;
+  opt.grid_lo_rel = 1e-3;
+  opt.grid_hi_rel = 1e2;
+  CvEngine engine(p.g, p.f, map_kernel(p.g, prior), opt);
+  EXPECT_EQ(engine.num_folds(), 3u);
+  const double c = tau_grid_center(p.f);
+  EXPECT_EQ(engine.tau_grid(), log_grid(c * 1e-3, c * 1e2, 6));
+  const CvCurve curve = engine.evaluate(prior.mean());
+  EXPECT_EQ(curve.taus, engine.tau_grid());
+  EXPECT_EQ(curve.errors.size(), 6u);
+}
+
 TEST(CvEngine, Validates) {
   Problem p;
   p.g.assign(6, 4);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "bmf/cross_validation.hpp"
 #include "bmf/fusion.hpp"
 #include "bmf/map_solver.hpp"
@@ -39,6 +43,104 @@ void expect_close(const linalg::Vector& got, const linalg::Vector& want,
   const double scale = linalg::norm_inf(want) + 1.0;
   for (std::size_t j = 0; j < want.size(); ++j)
     EXPECT_NEAR(got[j], want[j], rel * scale) << what << " j=" << j;
+}
+
+TEST(MapKernel, MatchesExplicitWeightedProduct) {
+  // B = G D^{-1} G^T with D = diag(q); a missing prior entry gets the flat
+  // (tiny-q) scale, so its column dominates B.
+  stats::Rng rng(19);
+  Problem p = make_problem(9, 7, rng);
+  std::vector<char> informative(7, 1);
+  informative[2] = 0;
+  const auto prior = CoefficientPrior::zero_mean(p.early, informative);
+  const linalg::Vector& q = prior.precision_scale();
+  const linalg::Matrix b = map_kernel(p.g, prior);
+  ASSERT_EQ(b.rows(), 9u);
+  ASSERT_EQ(b.cols(), 9u);
+  for (std::size_t i = 0; i < 9; ++i)
+    for (std::size_t j = 0; j < 9; ++j) {
+      double ref = 0.0;
+      for (std::size_t m = 0; m < 7; ++m)
+        ref += p.g(i, m) * p.g(j, m) / q[m];
+      EXPECT_NEAR(b(i, j), ref, 1e-12 * (std::abs(ref) + 1.0))
+          << "i=" << i << " j=" << j;
+      EXPECT_EQ(b(i, j), b(j, i));
+    }
+}
+
+TEST(MapKernel, SharedByZeroMeanAndNonzeroMeanPriors) {
+  // Both priors use q_m = 1/alpha_E,m^2, so one kernel serves both.
+  stats::Rng rng(20);
+  Problem p = make_problem(12, 8, rng);
+  const linalg::Matrix zm =
+      map_kernel(p.g, CoefficientPrior::zero_mean(p.early));
+  const linalg::Matrix nzm =
+      map_kernel(p.g, CoefficientPrior::nonzero_mean(p.early));
+  ASSERT_EQ(zm.size(), nzm.size());
+  EXPECT_TRUE(std::equal(zm.data(), zm.data() + zm.size(), nzm.data()));
+}
+
+TEST(MapKernel, Validation) {
+  linalg::Matrix g(4, 3);
+  EXPECT_THROW(map_kernel(g, CoefficientPrior::zero_mean({1.0, 1.0})),
+               std::invalid_argument);
+}
+
+TEST(PsdEigen, ReconstructsRankDeficientKernel) {
+  // K > M: B has rank M, so K - M eigenvalues are zero in exact arithmetic.
+  // Roundoff-sized negatives are clamped without counting as degradation.
+  stats::Rng rng(21);
+  Problem p = make_problem(12, 5, rng);
+  const linalg::Matrix b =
+      map_kernel(p.g, CoefficientPrior::zero_mean(p.early));
+  const PsdEigen e = psd_eigen(b);
+  EXPECT_EQ(e.clamped, 0u);
+  double wmax = 0.0;
+  for (double w : e.values) {
+    EXPECT_GE(w, 0.0);
+    wmax = std::max(wmax, w);
+  }
+  EXPECT_GT(e.min_eigenvalue, -1e-12 * wmax);
+  for (std::size_t i = 0; i < 12; ++i)
+    for (std::size_t j = 0; j < 12; ++j) {
+      double r = 0.0;
+      for (std::size_t k = 0; k < 12; ++k)
+        r += e.vectors(i, k) * e.values[k] * e.vectors(j, k);
+      EXPECT_NEAR(r, b(i, j), 1e-10 * wmax) << "i=" << i << " j=" << j;
+    }
+}
+
+TEST(PsdEigen, CountsOnlyClampsBeyondRoundoff) {
+  // Spectrum {-1, -1e-14, 4}: both negatives are clamped to zero, but only
+  // -1 lies below -1e-12 * 4 and counts as a genuinely indefinite clamp.
+  linalg::Matrix b{{4.0, 0.0, 0.0}, {0.0, -1.0, 0.0}, {0.0, 0.0, -1e-14}};
+  const PsdEigen e = psd_eigen(b);
+  EXPECT_EQ(e.clamped, 1u);
+  EXPECT_EQ(e.min_eigenvalue, -1.0);
+  ASSERT_EQ(e.values.size(), 3u);
+  EXPECT_EQ(e.values[0], 0.0);
+  EXPECT_EQ(e.values[1], 0.0);
+  EXPECT_NEAR(e.values[2], 4.0, 1e-14);
+}
+
+TEST(SolverWorkspace, SharedKernelConstructorMatchesStandaloneBitwise) {
+  // Handing in map_kernel(g, prior) must give the workspace the standalone
+  // constructor builds, down to the last bit, for both priors' means.
+  stats::Rng rng(22);
+  Problem p = make_problem(25, 18, rng);
+  const auto zm = CoefficientPrior::zero_mean(p.early);
+  const auto nzm = CoefficientPrior::nonzero_mean(p.early);
+  const linalg::Matrix b = map_kernel(p.g, zm);
+  MapSolverWorkspace standalone(p.g, p.f, zm);
+  MapSolverWorkspace shared(p.g, p.f, zm, b);
+  EXPECT_FALSE(shared.degraded());
+  EXPECT_EQ(shared.min_eigenvalue(), standalone.min_eigenvalue());
+  for (double tau : {1e-2, 1.0, 1e2}) {
+    EXPECT_EQ(shared.solve(tau), standalone.solve(tau)) << "tau=" << tau;
+    EXPECT_EQ(shared.solve(tau, nzm.mean()),
+              standalone.solve(tau, nzm.mean()))
+        << "tau=" << tau;
+  }
 }
 
 TEST(SolverWorkspace, MatchesHandSolvedTinyCase) {
