@@ -96,10 +96,18 @@ const linalg::Matrix& BmfFitter::kernel() const {
   return *kernel_;
 }
 
+void BmfFitter::release_kernel_if_consumed() const {
+  // Once the CV engine and the workspace have both read B, nothing reads it
+  // again until set_design; free the K x K matrix.
+  if (engine_ && workspace_) kernel_.reset();
+}
+
 CvEngine& BmfFitter::engine() {
   require_data();
-  if (!engine_)
+  if (!engine_) {
     engine_ = std::make_unique<CvEngine>(g_, f_, kernel(), options_.cv);
+    release_kernel_if_consumed();
+  }
   return *engine_;
 }
 
@@ -120,6 +128,7 @@ const MapSolverWorkspace& BmfFitter::workspace() const {
     workspace_ =
         std::make_unique<MapSolverWorkspace>(g_, f_, zm_prior_, kernel());
     nzm_mean_ = workspace_->project_mean(nzm_prior_.mean());
+    release_kernel_if_consumed();
   }
   return *workspace_;
 }

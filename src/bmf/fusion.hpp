@@ -89,8 +89,9 @@ class BmfFitter {
  private:
   void require_data() const;
   /// Lazily-built kernel B = G D^{-1} G^T of g_; read by the CV engine
-  /// and the workspace.
+  /// and the workspace, and freed once both exist.
   const linalg::Matrix& kernel() const;
+  void release_kernel_if_consumed() const;
   CvEngine& engine();
   /// Lazily-built amortized solver over (g_, f_, q); shared by both priors.
   const MapSolverWorkspace& workspace() const;

@@ -123,26 +123,6 @@ TEST(PsdEigen, CountsOnlyClampsBeyondRoundoff) {
   EXPECT_NEAR(e.values[2], 4.0, 1e-14);
 }
 
-TEST(SolverWorkspace, SharedKernelConstructorMatchesStandaloneBitwise) {
-  // Handing in map_kernel(g, prior) must give the workspace the standalone
-  // constructor builds, down to the last bit, for both priors' means.
-  stats::Rng rng(22);
-  Problem p = make_problem(25, 18, rng);
-  const auto zm = CoefficientPrior::zero_mean(p.early);
-  const auto nzm = CoefficientPrior::nonzero_mean(p.early);
-  const linalg::Matrix b = map_kernel(p.g, zm);
-  MapSolverWorkspace standalone(p.g, p.f, zm);
-  MapSolverWorkspace shared(p.g, p.f, zm, b);
-  EXPECT_FALSE(shared.degraded());
-  EXPECT_EQ(shared.min_eigenvalue(), standalone.min_eigenvalue());
-  for (double tau : {1e-2, 1.0, 1e2}) {
-    EXPECT_EQ(shared.solve(tau), standalone.solve(tau)) << "tau=" << tau;
-    EXPECT_EQ(shared.solve(tau, nzm.mean()),
-              standalone.solve(tau, nzm.mean()))
-        << "tau=" << tau;
-  }
-}
-
 TEST(SolverWorkspace, MatchesHandSolvedTinyCase) {
   // One sample, one coefficient: (tau q + g^2) a = tau q mu + g f.
   // q = 1, tau = 4: (4 + 4) a = 4*1 + 2*6 = 16 -> a = 2.
