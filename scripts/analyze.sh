@@ -82,14 +82,33 @@ else
   echo "analyze.sh: gtest headers not found; skipping test TUs" >&2
 fi
 
+# The -D flags CMake compiled one translation unit with, as shell words
+# (some are per target, e.g. BMF_SERVED_PATH for store_crash_test). The
+# "command" line of an entry precedes its "file" line; the sed undoes the
+# JSON escaping, leaving the shell quoting CMake wrote.
+tu_defines() {
+  awk -v want="\"file\": \"$1\"" '
+    /^ *"command": / { cmd = $0 }
+    /^ *"file": / {
+      line = $0
+      sub(/^ */, "", line)
+      sub(/,$/, "", line)
+      if (line == want) { print cmd; exit }
+    }' "$build_dir/compile_commands.json" |
+    sed -e 's/^ *"command": "//' -e 's/",*$//' -e 's/\\\(.\)/\1/g' |
+    tr ' ' '\n' | grep '^-D' | tr '\n' ' ' || true
+}
+
 status=0
 for tu in $sources; do
   case "$tu" in
     */tests/*)
       [ "$have_gtest" -eq 1 ] || continue ;;
   esac
-  # shellcheck disable=SC2086
-  if ! g++ $gcc_flags $includes "$tu"; then
+  defines=$(tu_defines "$tu")
+  # eval turns CMake's shell quoting (e.g. -DX=\"path\") into the words
+  # g++ saw at build time.
+  if ! eval "g++ \$gcc_flags \$includes $defines \"\$tu\""; then
     echo "analyze.sh: findings in $tu" >&2
     status=1
   fi

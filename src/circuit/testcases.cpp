@@ -32,12 +32,14 @@ Testcase make_testcase(std::string circuit, std::string metric,
       // The paper's flow: schematic-level OMP model from 3000 MC samples.
       stats::Rng rng(spec.seed ^ 0xE517ull);
       Dataset d = silicon.sample_early(early_fit_samples, rng);
+      const linalg::Matrix g =
+          basis::design_matrix(silicon.late_basis(), d.points);
+      // The sample points are dead once g exists; free them before OMP,
+      // whose working set sets the peak of building a testcase.
+      d.points = linalg::Matrix();
       regress::OmpOptions opt;
       opt.seed = spec.seed + 17;
-      regress::OmpResult r =
-          regress::omp_solve(basis::design_matrix(silicon.late_basis(),
-                                                  d.points),
-                             d.f, opt);
+      regress::OmpResult r = regress::omp_solve(g, d.f, opt);
       early = std::move(r.coefficients);
       break;
     }

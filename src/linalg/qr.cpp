@@ -1,7 +1,9 @@
 #include "linalg/qr.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.hpp"
 #include "linalg/blas.hpp"
@@ -105,19 +107,23 @@ double HouseholderQR::min_max_pivot_ratio() const {
   return mx > 0 ? mn / mx : 0.0;
 }
 
-IncrementalQR::IncrementalQR(std::size_t m) : m_(m) {}
+IncrementalQR::IncrementalQR(Vector b) : b_(std::move(b)), residual_(b_) {
+  BMF_EXPECTS_DIMS(check::all_finite(b_), "IncrementalQR rhs must be finite",
+                   {"m", b_.size()});
+}
 
 bool IncrementalQR::append_column(const Vector& v, double tol) {
-  LINALG_REQUIRE(v.size() == m_, "append_column size mismatch");
+  const std::size_t s = q_.size();
+  LINALG_REQUIRE(v.size() == b_.size(), "append_column size mismatch");
   BMF_EXPECTS_DIMS(check::all_finite(v),
-                   "append_column input must be finite", {"m", m_},
-                   {"ncols", ncols_});
+                   "append_column input must be finite", {"m", b_.size()},
+                   {"ncols", s});
   const double vnorm = norm2(v);
   Vector w = v;
-  Vector rcol(ncols_ + 1, 0.0);
+  Vector rcol(s + 1, 0.0);
   // Modified Gram-Schmidt, two passes for numerical robustness.
   for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t j = 0; j < ncols_; ++j) {
+    for (std::size_t j = 0; j < s; ++j) {
       const double c = dot(q_[j], w);
       rcol[j] += c;
       axpy(-c, q_[j], w);
@@ -125,35 +131,27 @@ bool IncrementalQR::append_column(const Vector& v, double tol) {
   }
   const double wnorm = norm2(w);
   if (wnorm <= tol * std::max(vnorm, 1e-300)) return false;
-  rcol[ncols_] = wnorm;
   scal(1.0 / wnorm, w);
+  for (std::size_t i = 0; i < s; ++i) r_[i].push_back(rcol[i]);
+  r_.push_back(Vector{wnorm});
+  // q_s^T b against the original b (not the running residual), so entry s
+  // and the residual after s + 1 columns are exactly those of a projection
+  // recomputed from scratch.
+  const double c = dot(w, b_);
+  qtb_.push_back(c);
+  axpy(-c, w, residual_);
   q_.push_back(std::move(w));
-  r_.push_back(std::move(rcol));
-  ++ncols_;
   return true;
 }
 
-Vector IncrementalQR::project(const Vector& b) const {
-  LINALG_REQUIRE(b.size() == m_, "project size mismatch");
-  Vector y(ncols_);
-  for (std::size_t j = 0; j < ncols_; ++j) y[j] = dot(q_[j], b);
-  return y;
-}
-
-Vector IncrementalQR::residual(const Vector& b) const {
-  Vector r = b;
-  for (std::size_t j = 0; j < ncols_; ++j) axpy(-dot(q_[j], b), q_[j], r);
-  return r;
-}
-
-Vector IncrementalQR::solve(const Vector& b) const {
-  Vector y = project(b);
-  // Back-substitute against the packed upper-triangular R.
-  Vector x(ncols_);
-  for (std::size_t ii = ncols_; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < ncols_; ++k) s -= r_[k][ii] * x[k];
-    x[ii] = s / r_[ii][ii];
+Vector IncrementalQR::solve(std::size_t n) const {
+  LINALG_REQUIRE(n <= q_.size(), "solve: more columns than appended");
+  Vector x(n);
+  for (std::size_t i = n; i-- > 0;) {
+    const Vector& row = r_[i];  // R(i, i + t) = row[t]
+    double acc = qtb_[i];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= row[k - i] * x[k];
+    x[i] = acc / row[0];
   }
   return x;
 }

@@ -1,6 +1,6 @@
 // QR factorization: full Householder QR for general least squares, and an
 // incremental column-append QR (Gram-Schmidt with reorthogonalization) that
-// lets the OMP baseline refit its growing active set in O(K*s) per step.
+// lets the OMP baseline grow its active set in O(K*s) per appended column.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -35,41 +35,41 @@ class HouseholderQR {
   Vector beta_;  // Householder scaling factors.
 };
 
-/// Incremental thin QR: starts empty and appends one column at a time,
-/// maintaining Q (m x s, orthonormal columns) and R (s x s upper-triangular).
+/// Incremental thin QR bound to one right-hand side b: starts empty and
+/// appends one column at a time, maintaining Q (m x s, orthonormal
+/// columns), R (s x s upper-triangular), Q^T b and the residual b - Q Q^T b.
 ///
-/// Used by OMP: after selecting basis column g_j, append it; the LS refit
-/// over the active set is then a single back-substitution.
+/// Used by OMP: after selecting basis column g_j, append it; the residual
+/// update is then one axpy and the LS refit over the active set a single
+/// back-substitution.
 class IncrementalQR {
  public:
-  /// `m` is the fixed column length (number of samples K).
-  explicit IncrementalQR(std::size_t m);
+  /// `b` is the right-hand side; its size fixes the column length m.
+  explicit IncrementalQR(Vector b);
 
   /// Append column v (size m). Returns false — and leaves the factorization
   /// unchanged — if v is numerically dependent on the current columns
   /// (residual norm <= tol * ||v||).
   bool append_column(const Vector& v, double tol = 1e-10);
 
-  /// Least-squares coefficients over the s appended columns:
-  /// argmin_x || [v_1 ... v_s] x - b ||_2.
-  Vector solve(const Vector& b) const;
-
-  /// Q^T b (length = current number of columns).
-  Vector project(const Vector& b) const;
+  /// Least-squares coefficients over the first n appended columns:
+  /// argmin_x || [v_1 ... v_n] x - b ||_2. Those columns' part of the
+  /// factorization is fixed once appended, so the result is exactly what
+  /// this call returned when n columns had been appended.
+  Vector solve(std::size_t n) const;
 
   /// Residual b - Q Q^T b of projecting b onto the current column span.
-  Vector residual(const Vector& b) const;
-
-  std::size_t num_columns() const { return ncols_; }
-  std::size_t rows() const { return m_; }
+  const Vector& residual() const { return residual_; }
 
  private:
-  std::size_t m_ = 0;
-  std::size_t ncols_ = 0;
-  // Q stored column-major: q_[j] is the j-th orthonormal column (size m_).
+  Vector b_;
+  // Q stored column-major: q_[j] is the j-th orthonormal column (size m).
   std::vector<Vector> q_;
-  // R stored as packed columns: r_[j] holds R(0..j, j).
+  // R stored as packed rows: r_[i] holds R(i, i..s-1), so back-substitution
+  // reads each row contiguously.
   std::vector<Vector> r_;
+  Vector qtb_;       // Q^T b; entry j is fixed once column j is appended.
+  Vector residual_;  // b minus one axpy per appended column.
 };
 
 }  // namespace bmf::linalg

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 
@@ -31,83 +33,186 @@ linalg::Vector gather(const linalg::Vector& f,
   return v;
 }
 
-// Greedy OMP path over the given sample rows. At each step the column with
-// the largest |g_j^T r| / ||g_j|| is appended. Returns selection order.
-// If `val_rows` is non-empty, records the relative validation error after
-// every step into `val_errors`.
-std::vector<std::size_t> greedy_path(
-    const linalg::Matrix& g, const linalg::Vector& f,
-    const std::vector<std::size_t>& rows,
-    const std::vector<std::size_t>& val_rows, std::size_t max_terms,
-    double residual_tolerance, std::vector<double>* val_errors) {
-  const std::size_t m = g.cols();
-  const linalg::Vector ft = gather(f, rows);
-  const double fnorm = linalg::norm2(ft);
-  linalg::Vector fv;
-  if (!val_rows.empty()) fv = gather(f, val_rows);
+// The training rows of g restricted to the columns still eligible for
+// selection, packed for the correlation scan. Columns sit in blocks of
+// kBlock: block b is a contiguous (rows x kBlock) row-major array whose
+// first live_[b].size() slots hold its live columns. A column leaves by
+// trading places with its block's last live column, so a scan streams only
+// eligible columns, in row order.
+class CandidatePanel {
+ public:
+  static constexpr std::size_t kBlock = 64;
 
-  std::vector<char> used(m, 0);
-  std::vector<std::size_t> selected;
-  std::vector<linalg::Vector> train_cols;  // active columns on train rows
-  linalg::IncrementalQR qr(rows.size());
-  linalg::Vector residual = ft;
-
-  // Column norms on the training rows, for scale-invariant correlation.
-  linalg::Vector col_norm(m, 0.0);
-  for (std::size_t idx : rows) {
-    const double* row = g.row_ptr(idx);
-    for (std::size_t j = 0; j < m; ++j) col_norm[j] += row[j] * row[j];
-  }
-  for (double& cn : col_norm) cn = std::sqrt(cn);
-
-  while (selected.size() < max_terms) {
-    if (fnorm > 0 && linalg::norm2(residual) <= residual_tolerance * fnorm)
-      break;
-    // Correlation scan: c = G_train^T r.
-    linalg::Vector corr(m, 0.0);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const double ri = residual[i];
-      if (ri == 0.0) continue;
-      const double* row = g.row_ptr(rows[i]);
-      for (std::size_t j = 0; j < m; ++j) corr[j] += ri * row[j];
+  // Every column with a nonzero norm on the training rows starts live.
+  CandidatePanel(const linalg::Matrix& g, const std::vector<std::size_t>& rows,
+                 const linalg::Vector& col_norm)
+      : nrows_(rows.size()), slot_(g.cols(), kNone) {
+    for (std::size_t j = 0; j < g.cols(); ++j) {
+      if (col_norm[j] == 0.0) continue;
+      if (live_.empty() || live_.back().size() == kBlock) live_.emplace_back();
+      slot_[j] = (live_.size() - 1) * kBlock + live_.back().size();
+      live_.back().push_back(j);
     }
-    // Pick the best unused, linearly-independent column.
-    bool appended = false;
-    while (!appended) {
-      double best = -1.0;
-      std::size_t best_j = m;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (used[j] || col_norm[j] == 0.0) continue;
-        const double score = std::abs(corr[j]) / col_norm[j];
-        if (score > best) {
-          best = score;
-          best_j = j;
+    data_.resize(live_.size() * nrows_ * kBlock);
+    for (std::size_t i = 0; i < nrows_; ++i) {
+      const double* src = g.row_ptr(rows[i]);
+      for (std::size_t b = 0; b < live_.size(); ++b) {
+        double* dst = block_ptr(b) + i * kBlock;
+        for (std::size_t c = 0; c < live_[b].size(); ++c)
+          dst[c] = src[live_[b][c]];
+      }
+    }
+  }
+
+  bool live(std::size_t j) const { return slot_[j] != kNone; }
+
+  // corr[j] = sum_i r_i g(rows[i], j) for every live j, summed over i in
+  // ascending order (rows with r_i == 0 skipped) — the same sum, term for
+  // term, as a scan of g itself. Blocks run in parallel; other entries of
+  // corr are left alone.
+  void correlate(const linalg::Vector& r, linalg::Vector& corr) const {
+    parallel::parallel_for(0, live_.size(), 1, [&](std::size_t b0,
+                                                   std::size_t b1) {
+      for (std::size_t b = b0; b < b1; ++b) {
+        const std::vector<std::size_t>& cols = live_[b];
+        const std::size_t n = cols.size();
+        double acc[kBlock] = {};
+        const double* row = block_ptr(b);
+        for (std::size_t i = 0; i < nrows_; ++i, row += kBlock) {
+          const double ri = r[i];
+          if (ri == 0.0) continue;
+          for (std::size_t c = 0; c < n; ++c) acc[c] += ri * row[c];
         }
+        for (std::size_t c = 0; c < n; ++c) corr[cols[c]] = acc[c];
       }
-      if (best_j == m) return selected;  // nothing left to add
-      used[best_j] = 1;
-      linalg::Vector col = gather_column(g, rows, best_j);
-      if (qr.append_column(col)) {
-        selected.push_back(best_j);
-        train_cols.push_back(std::move(col));
-        appended = true;
-      }
-      // Dependent column: stays marked used; try the runner-up.
-    }
-    residual = qr.residual(ft);
+    });
+  }
 
-    if (!val_rows.empty()) {
-      const linalg::Vector coef = qr.solve(ft);
-      linalg::Vector pred(val_rows.size(), 0.0);
-      for (std::size_t s = 0; s < selected.size(); ++s) {
-        const std::size_t j = selected[s];
-        for (std::size_t i = 0; i < val_rows.size(); ++i)
-          pred[i] += coef[s] * g(val_rows[i], j);
+  // Take live column j out of the candidate set.
+  void remove(std::size_t j) {
+    const std::size_t s = slot_[j], b = s / kBlock, c = s % kBlock;
+    std::vector<std::size_t>& cols = live_[b];
+    const std::size_t last = cols.size() - 1;
+    if (c != last) {
+      double* block = block_ptr(b);
+      for (std::size_t i = 0; i < nrows_; ++i)
+        block[i * kBlock + c] = block[i * kBlock + last];
+      cols[c] = cols[last];
+      slot_[cols[c]] = s;
+    }
+    cols.pop_back();
+    slot_[j] = kNone;
+  }
+
+ private:
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  double* block_ptr(std::size_t b) {
+    return data_.data() + b * nrows_ * kBlock;
+  }
+  const double* block_ptr(std::size_t b) const {
+    return data_.data() + b * nrows_ * kBlock;
+  }
+
+  std::size_t nrows_;
+  std::vector<double> data_;                     // blocks back to back
+  std::vector<std::vector<std::size_t>> live_;  // live columns per block
+  std::vector<std::size_t> slot_;  // column -> block * kBlock + slot, or kNone
+};
+
+struct GreedyPath {
+  std::vector<std::size_t> selected;  // basis-term indices, selection order
+  linalg::Vector coefficients;        // LS refit over `selected`
+};
+
+// Greedy OMP path over the given sample rows. At each step the column with
+// the largest |g_j^T r| / ||g_j|| is appended. Returns the selection order
+// and the least-squares coefficients over it. If `val_rows` is non-empty,
+// records the relative validation error of every prefix of the path into
+// `val_errors`.
+//
+// Each step extends the previous one: the residual and Q^T f are updated by
+// the appended column only. Every sum keeps the order of a from-scratch
+// recomputation, so the path is bit-identical to one.
+GreedyPath greedy_path(const linalg::Matrix& g, const linalg::Vector& f,
+                       const std::vector<std::size_t>& rows,
+                       const std::vector<std::size_t>& val_rows,
+                       std::size_t max_terms, double residual_tolerance,
+                       std::vector<double>* val_errors) {
+  const std::size_t m = g.cols();
+  linalg::IncrementalQR qr(gather(f, rows));
+  const double fnorm = linalg::norm2(qr.residual());
+  GreedyPath path;
+  {  // Selection. The panel is freed before the validation pass below.
+    // Column norms on the training rows, for scale-invariant correlation.
+    linalg::Vector col_norm(m, 0.0);
+    for (std::size_t idx : rows) {
+      const double* row = g.row_ptr(idx);
+      for (std::size_t j = 0; j < m; ++j) col_norm[j] += row[j] * row[j];
+    }
+    for (double& cn : col_norm) cn = std::sqrt(cn);
+    CandidatePanel panel(g, rows, col_norm);
+    linalg::Vector corr(m, 0.0);
+
+    // Append the best live, linearly-independent column; returns its
+    // index, or m when none is left.
+    const auto append_best = [&]() {
+      while (true) {
+        double best = -1.0;
+        std::size_t best_j = m;
+        for (std::size_t j = 0; j < m; ++j) {
+          if (!panel.live(j)) continue;
+          const double score = std::abs(corr[j]) / col_norm[j];
+          if (score > best) {
+            best = score;
+            best_j = j;
+          }
+        }
+        if (best_j == m) return m;
+        panel.remove(best_j);
+        if (qr.append_column(gather_column(g, rows, best_j))) return best_j;
+        // Dependent column: stays out of the panel; try the runner-up.
       }
-      val_errors->push_back(stats::relative_error(pred, fv));
+    };
+
+    while (path.selected.size() < max_terms) {
+      if (fnorm > 0 &&
+          linalg::norm2(qr.residual()) <= residual_tolerance * fnorm)
+        break;
+      panel.correlate(qr.residual(), corr);  // c = G_train^T r
+      const std::size_t j = append_best();
+      if (j == m) break;  // nothing left to add
+      path.selected.push_back(j);
     }
   }
-  return selected;
+  const std::size_t n = path.selected.size();
+  path.coefficients = qr.solve(n);
+
+  if (!val_rows.empty()) {
+    // Prefix t's fit reads only the first t columns of the factorization,
+    // fixed since they were appended, so the prefixes are independent and
+    // run in parallel, longest first.
+    const linalg::Vector fv = gather(f, val_rows);
+    std::vector<linalg::Vector> val_cols;  // selected columns on val rows
+    val_cols.reserve(n);
+    for (std::size_t j : path.selected)
+      val_cols.push_back(gather_column(g, val_rows, j));
+    val_errors->assign(n, 0.0);
+    parallel::parallel_for(0, n, 1, [&](std::size_t t0, std::size_t t1) {
+      for (std::size_t t = t0; t < t1; ++t) {
+        const std::size_t terms = n - t;
+        const linalg::Vector coef = qr.solve(terms);
+        linalg::Vector pred(val_rows.size(), 0.0);
+        for (std::size_t s = 0; s < terms; ++s) {
+          const linalg::Vector& col = val_cols[s];
+          for (std::size_t i = 0; i < val_rows.size(); ++i)
+            pred[i] += coef[s] * col[i];
+        }
+        (*val_errors)[terms - 1] = stats::relative_error(pred, fv);
+      }
+    });
+  }
+  return path;
 }
 
 }  // namespace
@@ -143,10 +248,9 @@ OmpResult omp_solve(const linalg::Matrix& g, const linalg::Vector& f,
                           : std::min(train_rows.size(), m);
     cap = std::min(cap, train_rows.size());
 
-    std::vector<double> val_errors;
     greedy_path(g, f, train_rows, val_rows, cap, options.residual_tolerance,
-                &val_errors);
-    result.validation_errors = val_errors;
+                &result.validation_errors);
+    const std::vector<double>& val_errors = result.validation_errors;
     if (val_errors.empty()) {
       num_terms = 1;
     } else {
@@ -158,19 +262,13 @@ OmpResult omp_solve(const linalg::Matrix& g, const linalg::Vector& f,
                                   : std::min(k, m);
   }
 
-  // Final fit: greedy path over all samples, truncated at num_terms.
-  result.selected = greedy_path(g, f, all_rows, {}, num_terms,
+  // Final fit: greedy path over all samples, truncated at num_terms. Its
+  // factorization already holds the LS refit over the final support.
+  GreedyPath path = greedy_path(g, f, all_rows, {}, num_terms,
                                 options.residual_tolerance, nullptr);
-  // Solve the LS refit over the final support.
-  linalg::IncrementalQR qr(k);
-  std::vector<std::size_t> kept;
-  for (std::size_t j : result.selected) {
-    if (qr.append_column(g.col(j))) kept.push_back(j);
-  }
-  result.selected = kept;
-  const linalg::Vector coef = qr.solve(f);
-  for (std::size_t s = 0; s < kept.size(); ++s)
-    result.coefficients[kept[s]] = coef[s];
+  for (std::size_t s = 0; s < path.selected.size(); ++s)
+    result.coefficients[path.selected[s]] = path.coefficients[s];
+  result.selected = std::move(path.selected);
   return result;
 }
 

@@ -2,10 +2,19 @@
 //
 // Greedy sparse regression after Li, TCAD'10 [13]: at each step pick the
 // basis column with the largest correlation to the current residual, then
-// refit the active set by least squares (done incrementally via column-
-// append QR, so step s costs O(K*M) for the correlation scan plus O(K*s)
-// for the refit). The number of selected terms is chosen on a held-out
-// validation split, mirroring the cross-validated stopping of [13].
+// refit the active set by least squares. The number of selected terms is
+// chosen on a held-out validation split, mirroring the cross-validated
+// stopping of [13].
+//
+// Cost of step s on K training rows, with M' <= M columns still eligible:
+//   * correlation scan O(K*M'), over a packed panel of the eligible
+//     columns, parallel over column blocks;
+//   * column append O(K*s) (two-pass Gram-Schmidt against s columns);
+//   * residual update O(K) (one axpy with the new column).
+// The validation error of prefix s costs an O(s^2) back-substitution plus
+// an O(K_val*s) prediction; all prefixes run after the path, in parallel.
+// The final refit is the final path's own factorization: one O(s^2)
+// back-substitution. The output is bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>

@@ -534,8 +534,11 @@ void RouterLoop::apply_fan_leg(FanOut& fan, const std::uint8_t* frame,
         }
         break;
       }
-      default:
-        break;
+      case MessageType::kPing:
+      case MessageType::kEvaluate:
+      case MessageType::kShutdown:
+      case MessageType::kSolve:
+        break;  // never fanned out
     }
     ++fan.acks;
   } catch (const ServeError&) {
@@ -567,7 +570,10 @@ void RouterLoop::finish_fan(FanOut& fan) {
         reply = serve::encode_list_response(rows);
         break;
       }
-      default:
+      case MessageType::kPing:
+      case MessageType::kEvaluate:
+      case MessageType::kShutdown:
+      case MessageType::kSolve:
         reply = serve::encode_ok();
         break;
     }

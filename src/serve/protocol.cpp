@@ -191,7 +191,12 @@ RouteInfo peek_route(const std::uint8_t* data, std::size_t size) {
         throw ServeError(Status::kBadRequest, "peek_route",
                          "model-addressed request with an empty name");
       break;
-    default:
+    case MessageType::kPing:
+    case MessageType::kList:
+    case MessageType::kShutdown:
+    case MessageType::kSolve:
+    case MessageType::kStats:
+    case MessageType::kStoreInfo:
       break;  // not model-addressed; the rest of the body is opaque here
   }
   return info;

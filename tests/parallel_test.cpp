@@ -16,6 +16,7 @@
 #include "bmf/solver_workspace.hpp"
 #include "circuit/virtual_silicon.hpp"
 #include "linalg/blas.hpp"
+#include "regress/omp.hpp"
 #include "stats/rng.hpp"
 
 namespace bmf {
@@ -300,6 +301,32 @@ TEST(BitIdentity, CrossValidationCurveMatchesSerial) {
   for (std::size_t i = 0; i < par.errors.size(); ++i) {
     ASSERT_EQ(par.taus[i], serial.taus[i]) << i;
     ASSERT_EQ(par.errors[i], serial.errors[i]) << i;
+  }
+}
+
+TEST(BitIdentity, OmpSolveMatchesSerial) {
+  // Wide enough (m = 300) that the correlation scan splits into several
+  // column chunks; both the validation path and the final path run.
+  stats::Rng rng(1789);
+  const std::size_t k = 150, m = 300;
+  const linalg::Matrix g = random_matrix(k, m, rng);
+  linalg::Vector f(k);
+  for (std::size_t i = 0; i < k; ++i)
+    f[i] = 2.0 * g(i, 3) - g(i, 101) + 0.5 * g(i, 250) + rng.normal(0.0, 0.1);
+
+  regress::OmpResult serial;
+  {
+    ScopedThreads threads(1);
+    serial = regress::omp_solve(g, f);
+  }
+  ASSERT_FALSE(serial.validation_errors.empty());
+  for (std::size_t n : {2u, 4u}) {
+    ScopedThreads threads(n);
+    const regress::OmpResult par = regress::omp_solve(g, f);
+    EXPECT_EQ(par.selected, serial.selected) << n << " threads";
+    EXPECT_EQ(par.coefficients, serial.coefficients) << n << " threads";
+    EXPECT_EQ(par.validation_errors, serial.validation_errors)
+        << n << " threads";
   }
 }
 

@@ -79,47 +79,66 @@ TEST(IncrementalQR, MatchesBatchLeastSquares) {
     for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal();
   Vector b = rng.normal_vector(m);
 
-  IncrementalQR iqr(m);
+  IncrementalQR iqr(b);
   for (std::size_t j = 0; j < n; ++j)
     ASSERT_TRUE(iqr.append_column(a.col(j)));
-  Vector x_inc = iqr.solve(b);
+  Vector x_inc = iqr.solve(n);
   Vector x_batch = HouseholderQR(a).solve(b);
   for (std::size_t j = 0; j < n; ++j)
     EXPECT_NEAR(x_inc[j], x_batch[j], 1e-9);
 }
 
 TEST(IncrementalQR, RejectsDependentColumn) {
-  IncrementalQR iqr(3);
+  IncrementalQR iqr({1, 2, 3});
   ASSERT_TRUE(iqr.append_column({1, 0, 0}));
   ASSERT_TRUE(iqr.append_column({1, 1, 0}));
   EXPECT_FALSE(iqr.append_column({2, 1, 0}));  // in the span
-  EXPECT_EQ(iqr.num_columns(), 2u);
+  EXPECT_THROW(iqr.solve(3), std::invalid_argument);  // still 2 columns
   EXPECT_TRUE(iqr.append_column({0, 0, 1}));
+  EXPECT_EQ(iqr.solve(3).size(), 3u);
+}
+
+TEST(IncrementalQR, PrefixSolveIsFixedOnceAppended) {
+  // solve(n) after later appends returns, bit for bit, what it returned
+  // when n columns had been appended.
+  stats::Rng rng(7);
+  IncrementalQR iqr(rng.normal_vector(20));
+  std::vector<Vector> then;
+  for (std::size_t n = 1; n <= 6; ++n) {
+    ASSERT_TRUE(iqr.append_column(rng.normal_vector(20)));
+    then.push_back(iqr.solve(n));
+  }
+  for (std::size_t n = 1; n <= 6; ++n) EXPECT_EQ(iqr.solve(n), then[n - 1]);
 }
 
 TEST(IncrementalQR, ResidualOrthogonalToColumns) {
   stats::Rng rng(5);
-  IncrementalQR iqr(10);
+  Vector b = rng.normal_vector(10);
+  IncrementalQR iqr(b);
+  EXPECT_EQ(iqr.residual(), b);  // no columns yet
   std::vector<Vector> cols;
   for (int j = 0; j < 4; ++j) {
     cols.push_back(rng.normal_vector(10));
     ASSERT_TRUE(iqr.append_column(cols.back()));
+    // The running residual stays orthogonal to every column so far.
+    for (const auto& c : cols) EXPECT_NEAR(dot(c, iqr.residual()), 0.0, 1e-10);
   }
-  Vector b = rng.normal_vector(10);
-  Vector r = iqr.residual(b);
-  for (const auto& c : cols) EXPECT_NEAR(dot(c, r), 0.0, 1e-10);
 }
 
 TEST(IncrementalQR, ProjectGivesQtB) {
-  IncrementalQR iqr(2);
-  ASSERT_TRUE(iqr.append_column({3, 4}));  // unit vector (0.6, 0.8)
-  Vector p = iqr.project({5, 0});
-  ASSERT_EQ(p.size(), 1u);
-  EXPECT_NEAR(p[0], 3.0, 1e-12);
+  // One column (3, 4) = 5 * (0.6, 0.8): Q^T b = 3 for b = (5, 0), so the
+  // coefficient is 3 / 5 and the residual b - 3 q.
+  IncrementalQR iqr({5, 0});
+  ASSERT_TRUE(iqr.append_column({3, 4}));
+  const Vector x = iqr.solve(1);
+  ASSERT_EQ(x.size(), 1u);
+  EXPECT_NEAR(x[0], 0.6, 1e-12);
+  EXPECT_NEAR(iqr.residual()[0], 5.0 - 3.0 * 0.6, 1e-12);
+  EXPECT_NEAR(iqr.residual()[1], -3.0 * 0.8, 1e-12);
 }
 
 TEST(IncrementalQR, SizeMismatchThrows) {
-  IncrementalQR iqr(3);
+  IncrementalQR iqr({1, 2, 3});
   EXPECT_THROW(iqr.append_column({1, 2}), std::invalid_argument);
 }
 
