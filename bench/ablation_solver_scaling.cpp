@@ -5,11 +5,16 @@
 // "up to 600x" solver speedup (Fig. 5's solver gap) — and, on top of that,
 // the amortized MapSolverWorkspace path that pays the tau-independent
 // kernel once and then solves each hyper-parameter in O(K^2 + K M).
+// BM_EigenSymmetric times the K x K eigendecomposition that every CV fold
+// and the workspace pay once, at K = 100 and at the K = 900 fit's sizes
+// (720 per fold, 900 for the final solve).
 #include <benchmark/benchmark.h>
 
 #include "bmf/cross_validation.hpp"
 #include "bmf/map_solver.hpp"
 #include "bmf/solver_workspace.hpp"
+#include "linalg/blas.hpp"
+#include "linalg/eigen_sym.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -167,6 +172,27 @@ BENCHMARK(BM_MapTauSweepWorkspace)
     ->Arg(250)
     ->Arg(1000)
     ->Arg(4000)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+
+// --- Symmetric eigendecomposition ------------------------------------------
+
+void BM_EigenSymmetric(benchmark::State& state) {
+  // A rank-deficient PSD kernel G G^T with M = K / 2, like a fold kernel
+  // in the paper's regime (its many near-zero eigenvalues included).
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  Problem p = make_problem(k, k / 2);
+  const linalg::Matrix b = linalg::gemm_nt(p.g, p.g);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::eigen_symmetric(b));
+  }
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(k));
+}
+
+BENCHMARK(BM_EigenSymmetric)
+    ->Arg(100)
+    ->Arg(720)
+    ->Arg(900)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
 

@@ -105,16 +105,22 @@ SweepResult run_error_sweep(const circuit::Testcase& tc,
 
         t0 = now_seconds();
         const core::CvCurve& nzm = fitter.nonzero_mean_curve();
+        const double t_nzm_curve = now_seconds() - t0;
+        t0 = now_seconds();
         auto nzm_model =
             fitter.fit_at(core::PriorKind::kNonzeroMean, nzm.best_tau());
-        const double t_nzm = now_seconds() - t0;
-        record(Method::kBmfNzm, t_engine_zm_curve + t_nzm,
+        const double t_nzm_solve = now_seconds() - t0;
+        record(Method::kBmfNzm, t_engine_zm_curve + t_nzm_curve + t_nzm_solve,
                nzm_model.coefficients());
 
         // BMF-PS picks whichever model the CV error prefers.
         const bool zm_wins = zm.best_error() <= nzm.best_error();
-        record(Method::kBmfPs, t_engine_zm_curve + t_zm_solve + t_nzm,
+        const double t_cv = t_engine_zm_curve + t_nzm_curve;
+        const double t_solve = t_zm_solve + t_nzm_solve;
+        record(Method::kBmfPs, t_cv + t_solve,
                zm_wins ? zm_model.coefficients() : nzm_model.coefficients());
+        result.ps_cv_seconds[ki] += t_cv;
+        result.ps_solve_seconds[ki] += t_solve;
       }
     }
   }
@@ -125,6 +131,10 @@ SweepResult run_error_sweep(const circuit::Testcase& tc,
       result.errors[m][ki] *= inv;
       result.fit_seconds[m][ki] *= inv;
     }
+  for (std::size_t ki = 0; ki < config.sample_sizes.size(); ++ki) {
+    result.ps_cv_seconds[ki] *= inv;
+    result.ps_solve_seconds[ki] *= inv;
+  }
   result.sample_seconds *= inv;
   result.design_seconds *= inv;
   return result;
@@ -165,7 +175,12 @@ std::string format_phase_timing(const SweepResult& result) {
   os << "per-repeat phase wall-clock: sampling=" << io::Table::num(
             result.sample_seconds, 4)
      << "s, design-matrix=" << io::Table::num(result.design_seconds, 4)
-     << "s (fit columns above are solve-only)";
+     << "s (fit columns above are solve-only)\n"
+     << "BMF-PS solve-only split, cv + final solve (s):";
+  for (std::size_t ki = 0; ki < result.sample_sizes.size(); ++ki)
+    os << (ki == 0 ? " " : ", ") << "K=" << result.sample_sizes[ki] << " "
+       << io::Table::num(result.ps_cv_seconds[ki], 4) << " + "
+       << io::Table::num(result.ps_solve_seconds[ki], 4);
   return os.str();
 }
 

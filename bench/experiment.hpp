@@ -41,6 +41,10 @@ struct SweepResult {
   /// sampling and design-matrix assembly are reported separately below so
   /// that per-phase speedups stay attributable.
   double fit_seconds[kNumMethods][16] = {};
+  /// BMF-PS's fit_seconds split per K: cross-validation (CV engine build +
+  /// both prior curves) and the final MAP solves of both priors.
+  double ps_cv_seconds[16] = {};
+  double ps_solve_seconds[16] = {};
   /// Mean per-repeat wall-clock of the shared phases: drawing the training
   /// + testing Monte Carlo sets, and assembling their design matrices.
   double sample_seconds = 0.0;
@@ -58,8 +62,9 @@ std::string format_error_table(const SweepResult& result);
 std::string format_cost_table(const SweepResult& result,
                               const std::vector<Method>& methods);
 
-/// One-line per-phase wall-clock summary (sampling vs design-matrix
-/// assembly vs solve) for a sweep result.
+/// Per-phase wall-clock summary of a sweep result: one line for sampling
+/// vs design-matrix assembly, one for BMF-PS's CV vs final-solve split
+/// per K.
 std::string format_phase_timing(const SweepResult& result);
 
 /// Single-point comparison used by Tables IV and VI: OMP at k_omp samples

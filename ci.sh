@@ -34,7 +34,8 @@
 #   6. ThreadSanitizer build of the concurrent serving stack (event loop,
 #      worker pool, admission queue, fault engine) — the race-freedom
 #      proof for the paths the chaos suite exercises, again over both
-#      transports.
+#      transports — plus the numeric bit-identity suites (parallel_test,
+#      eigen_sym_test) at BMF_NUM_THREADS=4.
 #   7. SIMD level matrix: the full Release test suite re-runs with
 #      BMF_SIMD_LEVEL pinned to every level this host can execute (plus
 #      the kernel suite under ASan/UBSan per level), so the scalar and
@@ -132,12 +133,17 @@ done
 echo "== Crash-recovery matrix (kill at durability syscalls, ASan/UBSan) =="
 "$src_dir/build-ci-checked/tests/store_crash_test"
 
-echo "== ThreadSanitizer: concurrent serving stack =="
+echo "== ThreadSanitizer: serving stack + numeric bit-identity =="
 cmake -S "$src_dir" -B "$src_dir/build-ci-tsan" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBMF_SANITIZE=thread
 cmake --build "$src_dir/build-ci-tsan" -j "$jobs" \
       --target serve_server_test serve_pipeline_test serve_chaos_test \
-               router_test
+               router_test eigen_sym_test parallel_test
+# The numeric bit-identity suites at four threads: the thread pool, the
+# parallel kernels checked against their serial results, and the
+# eigensolver checked against its textbook reference.
+BMF_NUM_THREADS=4 "$src_dir/build-ci-tsan/tests/parallel_test"
+BMF_NUM_THREADS=4 "$src_dir/build-ci-tsan/tests/eigen_sym_test"
 "$src_dir/build-ci-tsan/tests/serve_server_test"
 "$src_dir/build-ci-tsan/tests/serve_pipeline_test"
 for transport in $transports; do

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "check/contracts.hpp"
 
@@ -11,8 +13,59 @@ namespace bmf::linalg {
 
 namespace {
 
+// Every loop below walks rows of the row-major working matrix. The
+// floating-point operations are those of the textbook tred2 + tqli (which
+// walk columns) in the same per-element order, so the result is
+// bit-identical to it; the comments name the textbook step each loop
+// reorders.
+
 // sqrt(a^2 + b^2) without destructive underflow/overflow.
 double hypot2(double a, double b) { return std::hypot(a, b); }
+
+// p = A u for the symmetric leading m x m block of `a`, read from its lower
+// triangle in one pass over the rows. tred2 sums p[j] as its row part
+// (k <= j) followed by its column part (k > j), each in ascending k. Row k
+// completes p[k]'s row part and then adds its column terms to every p[j],
+// j < k, so each p[j] receives its terms in exactly that order. Rows go
+// four at a time: their independent row-part add chains overlap, and each
+// p[j] is loaded once for their four column terms.
+void lower_symmetric_matvec(const Matrix& a, const double* u, std::size_t m,
+                            double* p) {
+  std::size_t k = 0;
+  for (; k + 4 <= m; k += 4) {
+    const double* r0 = a.row_ptr(k);
+    const double* r1 = a.row_ptr(k + 1);
+    const double* r2 = a.row_ptr(k + 2);
+    const double* r3 = a.row_ptr(k + 3);
+    const double u0 = u[k], u1 = u[k + 1], u2 = u[k + 2], u3 = u[k + 3];
+    double g0 = 0.0, g1 = 0.0, g2 = 0.0, g3 = 0.0;
+    for (std::size_t j = 0; j <= k; ++j) {
+      g0 += r0[j] * u[j];
+      g1 += r1[j] * u[j];
+      g2 += r2[j] * u[j];
+      g3 += r3[j] * u[j];
+    }
+    g1 += r1[k + 1] * u1;
+    g2 += r2[k + 1] * u1;
+    g3 += r3[k + 1] * u1;
+    g2 += r2[k + 2] * u2;
+    g3 += r3[k + 2] * u2;
+    g3 += r3[k + 3] * u3;
+    for (std::size_t j = 0; j < k; ++j)
+      p[j] = p[j] + r0[j] * u0 + r1[j] * u1 + r2[j] * u2 + r3[j] * u3;
+    p[k] = g0 + r1[k] * u1 + r2[k] * u2 + r3[k] * u3;
+    p[k + 1] = g1 + r2[k + 1] * u2 + r3[k + 1] * u3;
+    p[k + 2] = g2 + r3[k + 2] * u3;
+    p[k + 3] = g3;
+  }
+  for (; k < m; ++k) {
+    const double* r = a.row_ptr(k);
+    double g = 0.0;
+    for (std::size_t j = 0; j <= k; ++j) g += r[j] * u[j];
+    for (std::size_t j = 0; j < k; ++j) p[j] += r[j] * u[k];
+    p[k] = g;
+  }
+}
 
 // Householder reduction of symmetric `a` (modified in place to hold the
 // accumulated orthogonal transform) to tridiagonal form (d = diagonal,
@@ -24,65 +77,153 @@ void tridiagonalize(Matrix& a, Vector& d, Vector& e) {
   for (std::size_t ii = n; ii-- > 1;) {
     const std::size_t i = ii;
     const std::size_t l = i - 1;
+    double* ai = a.row_ptr(i);
     double h = 0.0, scale = 0.0;
     if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(a(i, k));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(ai[k]);
       if (scale == 0.0) {
-        e[i] = a(i, l);
+        e[i] = ai[l];
       } else {
         for (std::size_t k = 0; k <= l; ++k) {
-          a(i, k) /= scale;
-          h += a(i, k) * a(i, k);
+          ai[k] /= scale;
+          h += ai[k] * ai[k];
         }
-        double f = a(i, l);
+        double f = ai[l];
         double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        a(i, l) = f - g;
+        ai[l] = f - g;
+        lower_symmetric_matvec(a, ai, l + 1, e.data());  // p = A u
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
-          a(j, i) = a(i, j) / h;  // store u/H for eigenvector accumulation
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
-          e[j] = g / h;
-          f += e[j] * a(i, j);
+          a(j, i) = ai[j] / h;  // store u/H for eigenvector accumulation
+          e[j] /= h;
+          f += e[j] * ai[j];
         }
         const double hh = f / (h + h);
+        // tred2 updates e[j] just before row j; row j reads only e[k <= j],
+        // so updating all of e first changes nothing.
+        for (std::size_t j = 0; j <= l; ++j) e[j] -= hh * ai[j];
         for (std::size_t j = 0; j <= l; ++j) {
-          f = a(i, j);
-          e[j] = g = e[j] - hh * f;
+          double* aj = a.row_ptr(j);
+          f = ai[j];
+          g = e[j];
           for (std::size_t k = 0; k <= j; ++k)
-            a(j, k) -= f * e[k] + g * a(i, k);
+            aj[k] -= f * e[k] + g * ai[k];
         }
       }
     } else {
-      e[i] = a(i, l);
+      e[i] = ai[l];
     }
     d[i] = h;
   }
   d[0] = 0.0;
   e[0] = 0.0;
-  // Accumulate transformation matrix into `a`.
+  // Accumulate the transformation into `a`. Step i applies
+  // A[0:i, 0:i] -= A[0:i, i] g^T with g = a(i, 0:i) A[0:i, 0:i]; tred2
+  // forms and applies one column of that product at a time, and no column
+  // reads another's update, so g is formed first (k outer, ascending) and
+  // the rank-1 update then runs row by row. Row k is final once step i has
+  // updated it, so that pass also accumulates the next step's product g_next
+  // (row i + 1 is untouched by step i): one pass over A per step.
+  Vector g(n), g_next(n);
+  bool have_g = false;  // g already holds step i's product
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t l = i;  // columns 0..i-1 are finalized
+    double* ai = a.row_ptr(i);
+    const bool fuse = d[i] != 0.0 && i + 1 < n && d[i + 1] != 0.0;
+    const double* an = fuse ? a.row_ptr(i + 1) : nullptr;
     if (d[i] != 0.0) {
-      for (std::size_t j = 0; j < l; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k < l; ++k) g += a(i, k) * a(k, j);
-        for (std::size_t k = 0; k < l; ++k) a(k, j) -= g * a(k, i);
+      if (!have_g) {
+        std::fill(g.begin(), g.begin() + i, 0.0);
+        for (std::size_t k = 0; k < i; ++k) {
+          const double* ak = a.row_ptr(k);
+          const double aik = ai[k];
+          for (std::size_t j = 0; j < i; ++j) g[j] += aik * ak[j];
+        }
+      }
+      if (fuse) std::fill(g_next.begin(), g_next.begin() + i + 1, 0.0);
+      for (std::size_t k = 0; k < i; ++k) {
+        double* ak = a.row_ptr(k);
+        const double aki = ak[i];
+        for (std::size_t j = 0; j < i; ++j) ak[j] -= g[j] * aki;
+        if (fuse) {
+          ak[i] = 0.0;
+          const double ank = an[k];
+          for (std::size_t j = 0; j <= i; ++j) g_next[j] += ank * ak[j];
+        }
       }
     }
-    d[i] = a(i, i);
-    a(i, i) = 1.0;
-    for (std::size_t j = 0; j < l; ++j) a(j, i) = a(i, j) = 0.0;
+    d[i] = ai[i];
+    ai[i] = 1.0;
+    for (std::size_t j = 0; j < i; ++j) a(j, i) = ai[j] = 0.0;
+    if (fuse) {
+      const double ani = an[i];
+      for (std::size_t j = 0; j <= i; ++j) g_next[j] += ani * ai[j];
+      std::swap(g, g_next);
+    }
+    have_g = fuse;
   }
 }
 
-// Implicit-shift QL on the tridiagonal (d, e), rotating the columns of z.
-void ql_implicit(Vector& d, Vector& e, Matrix& z) {
+// One Givens rotation of the QL iteration: it mixes eigenvector
+// candidates i and i + 1.
+struct Rotation {
+  std::size_t i;
+  double c, s;
+};
+
+// Columns per panel when a rotation log is applied: a panel of n rows
+// stays cache-resident while every logged rotation sweeps over it.
+constexpr std::size_t kPanelCols = 64;
+
+// Applies `log` in order to the rows of zt (the transposed transform), one
+// column panel at a time. Each entry is transformed by the same rotations
+// in the same order as a direct application, only grouped differently:
+// two consecutive rotations of one QL sweep (rows i + 1, i, then i, i - 1)
+// run fused, so their shared row i stays in registers between them.
+void apply_rotations(const std::vector<Rotation>& log, Matrix& zt) {
+  const std::size_t n = zt.cols();
+  for (std::size_t c0 = 0; c0 < n; c0 += kPanelCols) {
+    const std::size_t c1 = std::min(n, c0 + kPanelCols);
+    for (std::size_t t = 0; t < log.size();) {
+      const Rotation& r1 = log[t];
+      if (t + 1 < log.size() && log[t + 1].i + 1 == r1.i) {
+        const Rotation& r2 = log[t + 1];
+        double* hi = zt.row_ptr(r1.i + 1);
+        double* mid = zt.row_ptr(r1.i);
+        double* lo = zt.row_ptr(r2.i);
+        for (std::size_t k = c0; k < c1; ++k) {
+          const double f1 = hi[k];
+          hi[k] = r1.s * mid[k] + r1.c * f1;
+          const double f2 = r1.c * mid[k] - r1.s * f1;
+          mid[k] = r2.s * lo[k] + r2.c * f2;
+          lo[k] = r2.c * lo[k] - r2.s * f2;
+        }
+        t += 2;
+      } else {
+        double* lo = zt.row_ptr(r1.i);
+        double* hi = zt.row_ptr(r1.i + 1);
+        for (std::size_t k = c0; k < c1; ++k) {
+          const double f = hi[k];
+          hi[k] = r1.s * lo[k] + r1.c * f;
+          lo[k] = r1.c * lo[k] - r1.s * f;
+        }
+        t += 1;
+      }
+    }
+  }
+}
+
+// Implicit-shift QL on the tridiagonal (d, e), rotating the rows of zt
+// (tqli rotates the columns of the untransposed transform). The d/e
+// iteration never reads the transform, so its rotations are logged and
+// applied in batches of at most ~4n.
+void ql_implicit(Vector& d, Vector& e, Matrix& zt) {
   const std::size_t n = d.size();
   if (n == 0) return;
+  std::vector<Rotation> log;
+  const std::size_t log_capacity = 4 * n;
+  log.reserve(log_capacity);
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
   for (std::size_t l = 0; l < n; ++l) {
@@ -119,10 +260,10 @@ void ql_implicit(Vector& d, Vector& e, Matrix& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          for (std::size_t k = 0; k < n; ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
+          log.push_back({i, c, s});
+          if (log.size() == log_capacity) {
+            apply_rotations(log, zt);
+            log.clear();
           }
         }
         if (r == 0.0 && m - l > 1) continue;
@@ -132,6 +273,13 @@ void ql_implicit(Vector& d, Vector& e, Matrix& z) {
       }
     } while (m != l);
   }
+  apply_rotations(log, zt);
+}
+
+void transpose_in_place(Matrix& a) {
+  const std::size_t n = a.rows();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) std::swap(a(i, j), a(j, i));
 }
 
 }  // namespace
@@ -153,8 +301,10 @@ SymmetricEigen eigen_symmetric(const Matrix& a) {
     for (std::size_t j = i + 1; j < n; ++j) z(i, j) = z(j, i);
   Vector d, e;
   tridiagonalize(z, d, e);
+  transpose_in_place(z);
   ql_implicit(d, e, z);
-  // Sort ascending, permuting eigenvector columns to match.
+  // Sort ascending; row order[j] of the transposed transform becomes
+  // eigenvector column j.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
@@ -163,7 +313,8 @@ SymmetricEigen eigen_symmetric(const Matrix& a) {
   out.vectors.assign(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
+    const double* src = z.row_ptr(order[j]);
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = src[i];
   }
   BMF_ENSURES_DIMS(check::is_ascending(out.values) &&
                        check::all_finite(out.values) &&
