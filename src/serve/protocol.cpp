@@ -21,6 +21,27 @@ ByteReader response_reader(const std::uint8_t* data, std::size_t size,
   return ByteReader(data, size, Status::kBadRequest, context);
 }
 
+/// The body of a kEvaluate frame (after the type byte) into `ev`. The
+/// batch lands in ev.points' existing storage when it is large enough.
+void decode_evaluate_body(ByteReader& r, EvaluateRequest& ev) {
+  ev.name = r.str16();
+  if (ev.name.empty()) bad_request("evaluate with an empty model name");
+  ev.version = r.u64();
+  const std::uint64_t rows = r.u64();
+  const std::uint64_t cols = r.u64();
+  if (rows == 0) bad_request("evaluate with an empty batch");
+  // 8 bytes per entry must exactly fill the rest of the frame; this also
+  // rejects rows*cols overflows before the allocation below.
+  if (cols == 0 || rows > r.remaining() / 8 / cols ||
+      rows * cols * 8 != r.remaining())
+    bad_request("evaluate batch of " + std::to_string(rows) + " x " +
+                std::to_string(cols) + " entries does not match the " +
+                std::to_string(r.remaining()) + " remaining byte(s)");
+  ev.points.assign(rows, cols);
+  r.f64_array(ev.points.data(), ev.points.size());
+  r.expect_done();
+}
+
 }  // namespace
 
 // ---- Request codecs --------------------------------------------------------
@@ -99,22 +120,7 @@ Request decode_request(const std::uint8_t* data, std::size_t size) {
     }
     case static_cast<std::uint8_t>(MessageType::kEvaluate): {
       EvaluateRequest ev;
-      ev.name = r.str16();
-      if (ev.name.empty()) bad_request("evaluate with an empty model name");
-      ev.version = r.u64();
-      const std::uint64_t rows = r.u64();
-      const std::uint64_t cols = r.u64();
-      if (rows == 0) bad_request("evaluate with an empty batch");
-      // 8 bytes per entry must exactly fill the rest of the frame; this
-      // also rejects rows*cols overflows before the allocation below.
-      if (cols == 0 || rows > r.remaining() / 8 / cols ||
-          rows * cols * 8 != r.remaining())
-        bad_request("evaluate batch of " + std::to_string(rows) + " x " +
-                    std::to_string(cols) + " entries does not match the " +
-                    std::to_string(r.remaining()) + " remaining byte(s)");
-      ev.points.assign(rows, cols);
-      r.f64_array(ev.points.data(), ev.points.size());
-      r.expect_done();
+      decode_evaluate_body(r, ev);
       return ev;
     }
     case static_cast<std::uint8_t>(MessageType::kList): {
@@ -172,6 +178,18 @@ Request decode_request(const std::uint8_t* data, std::size_t size) {
 
 Request decode_request(const std::vector<std::uint8_t>& frame) {
   return decode_request(frame.data(), frame.size());
+}
+
+void decode_request_into(const std::uint8_t* data, std::size_t size,
+                         Request& out) {
+  ByteReader r = request_reader(data, size);
+  if (r.u8() != static_cast<std::uint8_t>(MessageType::kEvaluate)) {
+    out = decode_request(data, size);
+    return;
+  }
+  if (!std::holds_alternative<EvaluateRequest>(out))
+    out.emplace<EvaluateRequest>();
+  decode_evaluate_body(r, std::get<EvaluateRequest>(out));
 }
 
 RouteInfo peek_route(const std::uint8_t* data, std::size_t size) {

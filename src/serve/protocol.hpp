@@ -171,6 +171,15 @@ std::vector<std::uint8_t> encode_evaluate_request(
 Request decode_request(const std::uint8_t* data, std::size_t size);
 Request decode_request(const std::vector<std::uint8_t>& frame);
 
+/// As decode_request, into `out`. An evaluate decoded into an `out` that
+/// already holds one reuses its batch matrix, so a server decoding a
+/// steady stream of evaluates into one Request allocates no batch-sized
+/// buffer per request: freeing and refaulting ~1 MB per request otherwise
+/// costs more kernel time than the evaluation itself. On a throw `out`
+/// holds an unspecified request.
+void decode_request_into(const std::uint8_t* data, std::size_t size,
+                         Request& out);
+
 /// What the shard router needs to route a request frame: the verb, and for
 /// the model-addressed verbs (kPublish / kEvaluate / kEvict) the model
 /// name. Everything after the name is left undecoded — the router proxies

@@ -63,6 +63,7 @@ class WorkerPool final : public Frontend::Handler {
     std::uint64_t tag = 0;
     std::uint64_t seq = 0;
     Server::ExecuteResult result;
+    std::vector<std::uint8_t> frame;  // the job's frame, returned for reuse
   };
 
   void worker_body();
@@ -88,6 +89,13 @@ class WorkerPool final : public Frontend::Handler {
   /// applied. Loop-thread only (incremented at enqueue, decremented when
   /// the completion — or a drain-time steal — is applied).
   std::size_t jobs_outstanding_ = 0;
+  /// Frame buffers of finished jobs, reused by the next dispatches so a
+  /// steady stream of large requests copies into warm memory instead of
+  /// allocating (and faulting in) a fresh buffer per job. Loop-thread
+  /// only; never holds more buffers than jobs were in flight at once.
+  std::vector<std::vector<std::uint8_t>> spare_frames_;
+  /// The loop thread's decode target for inline and stolen requests.
+  Request loop_request_;
   std::vector<std::thread> workers_;
 };
 
@@ -101,6 +109,7 @@ void WorkerPool::run() {
 }
 
 void WorkerPool::worker_body() {
+  Request request;  // decode target reused across this worker's jobs
   for (;;) {
     Job job;
     {
@@ -124,7 +133,9 @@ void WorkerPool::worker_body() {
     Completion done;
     done.tag = job.tag;
     done.seq = job.seq;
-    done.result = server_.execute_request(job.frame.data(), job.frame.size());
+    done.result =
+        server_.execute_request(job.frame.data(), job.frame.size(), request);
+    done.frame = std::move(job.frame);
     {
       sync::LockGuard lk(done_mu_);
       done_.push_back(std::move(done));
@@ -137,6 +148,7 @@ void WorkerPool::apply_completion(Completion done) {
   --jobs_outstanding_;
   server_.queue_depth_.fetch_sub(1, std::memory_order_relaxed);
   Frontend::Conn* c = frontend_.find(done.tag);
+  spare_frames_.push_back(std::move(done.frame));
   if (c == nullptr) return;  // connection died while computing
   c->executing = false;
   if (done.result.shutdown) server_.request_stop();
@@ -179,6 +191,10 @@ void WorkerPool::dispatch_ready() {
       Job job;
       job.tag = tag;
       job.seq = c.replies.reserve();
+      if (!spare_frames_.empty()) {
+        job.frame = std::move(spare_frames_.back());
+        spare_frames_.pop_back();
+      }
       c.frames.next_frame(job.frame);  // copies: the worker needs ownership
       c.executing = true;
       jobs_.push_back(std::move(job));
@@ -197,7 +213,7 @@ void WorkerPool::run_inline(std::uint64_t tag) {
     const std::uint64_t seq = c->replies.reserve();
     // Zero-copy: decode straight out of the read buffer.
     Server::ExecuteResult result = server_.execute_request(
-        c->frames.front_data(), c->frames.front_size());
+        c->frames.front_data(), c->frames.front_size(), loop_request_);
     c->frames.pop_front();
     if (result.shutdown) server_.request_stop();
     frontend_.complete(tag, seq, std::move(result.reply), result.close_after);
@@ -217,9 +233,10 @@ void WorkerPool::steal_queued_jobs() {
       job = std::move(jobs_.front());
       jobs_.pop_front();
     }
-    apply_completion({job.tag, job.seq,
-                      server_.execute_request(job.frame.data(),
-                                              job.frame.size())});
+    Server::ExecuteResult result = server_.execute_request(
+        job.frame.data(), job.frame.size(), loop_request_);
+    apply_completion(
+        {job.tag, job.seq, std::move(result), std::move(job.frame)});
   }
 }
 
@@ -312,10 +329,11 @@ void Server::maybe_compact() noexcept {
 }
 
 Server::ExecuteResult Server::execute_request(const std::uint8_t* frame,
-                                              std::size_t size) {
+                                              std::size_t size,
+                                              Request& request) {
   ExecuteResult out;
   try {
-    const Request request = decode_request(frame, size);
+    decode_request_into(frame, size, request);
     if (std::holds_alternative<PingRequest>(request)) {
       out.reply = encode_ok();
     } else if (const auto* pub = std::get_if<PublishRequest>(&request)) {

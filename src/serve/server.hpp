@@ -139,9 +139,12 @@ class Server {
 
   /// Decode, dispatch, and encode the reply for one request frame. Takes
   /// a raw view so the loop's inline fast path executes straight out of
-  /// the connection's read buffer without copying the frame. Thread-safe:
-  /// registry and evaluator tolerate concurrent workers.
-  ExecuteResult execute_request(const std::uint8_t* frame, std::size_t size);
+  /// the connection's read buffer without copying the frame. `request` is
+  /// the calling thread's decode target (decode_request_into), kept across
+  /// calls so an evaluate batch reuses the previous one's storage.
+  /// Thread-safe: registry and evaluator tolerate concurrent workers.
+  ExecuteResult execute_request(const std::uint8_t* frame, std::size_t size,
+                                Request& request);
 
   /// Compact the store once its WAL outgrows store_snapshot_bytes.
   /// Failure is logged, never propagated: the publish that tripped the

@@ -41,6 +41,41 @@ TEST(Protocol, EvaluateRoundTrip) {
     EXPECT_EQ(ev->points.data()[i], request.points.data()[i]);
 }
 
+TEST(Protocol, DecodeIntoReusesTheEvaluateBatchStorage) {
+  EvaluateRequest big;
+  big.name = "a";
+  big.points = linalg::Matrix(4, 3, 1.5);
+  EvaluateRequest small;
+  small.name = "sram_delay";
+  small.version = 9;
+  small.points = linalg::Matrix{{1.0, -2.0}, {0.25, 3.0}};
+
+  Request out;
+  const auto big_frame = encode_request(big);
+  decode_request_into(big_frame.data(), big_frame.size(), out);
+  const double* storage = std::get<EvaluateRequest>(out).points.data();
+
+  const auto small_frame = encode_request(small);
+  decode_request_into(small_frame.data(), small_frame.size(), out);
+  const auto& ev = std::get<EvaluateRequest>(out);
+  EXPECT_EQ(ev.points.data(), storage);
+  EXPECT_EQ(ev.name, small.name);
+  EXPECT_EQ(ev.version, 9u);
+  ASSERT_EQ(ev.points.rows(), 2u);
+  ASSERT_EQ(ev.points.cols(), 2u);
+  for (std::size_t i = 0; i < small.points.size(); ++i)
+    EXPECT_EQ(ev.points.data()[i], small.points.data()[i]);
+
+  // Any other verb replaces the evaluate; a bad frame still throws.
+  const auto list_frame = encode_request(ListRequest{});
+  decode_request_into(list_frame.data(), list_frame.size(), out);
+  EXPECT_TRUE(std::holds_alternative<ListRequest>(out));
+  auto truncated = small_frame;
+  truncated.pop_back();
+  EXPECT_THROW(decode_request_into(truncated.data(), truncated.size(), out),
+               ServeError);
+}
+
 TEST(Protocol, ListAndShutdownRoundTrip) {
   EXPECT_TRUE(std::holds_alternative<ListRequest>(
       decode_request(encode_request(ListRequest{}))));
